@@ -3,15 +3,18 @@
 Elements are finite linear combinations of tangles.  The product of two
 basis diagrams is their diagram product rescaled by delta raised to the
 number of interior loops the stacking closed, extended bilinearly.  All
-arithmetic is exact: coefficients live in an exact field with decidable
-equality (arbitrary-precision rationals by default; anything supporting
-+, *, ** and == against Fraction works).  delta is threaded through the
-product rather than stored on elements, and is recorded when serializing.
+arithmetic is exact: coefficients are arbitrary-precision rationals
+(`Fraction`), and the product accumulates them as integers over one common
+denominator.  delta is threaded through the product rather than stored on
+elements, and is recorded when serializing.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import AlphabetError, DegreeMismatch, DegreeTooSmall, ZeroDelta
 from .relations import twist_relations
@@ -113,26 +116,35 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
     return out
 
 
+def _integer_terms(a: AlgebraElement) -> tuple[list, int]:
+    # (tangle, integer numerator) pairs over the lcm of the denominators
+    d = lcm(*(c.denominator for c in a.terms.values()))
+    return [(t, c.numerator * (d // c.denominator))
+            for t, c in a.terms.items()], d
+
+
 def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
-    """Bilinear product; basis diagrams multiply with weight delta^loops."""
+    """Bilinear product; basis diagrams multiply with weight delta^loops.
+
+    With delta = p/q and at most h = n // 2 loops, delta^m = p^m q^(h-m) / q^h,
+    so the sums are integers over one denominator until the end.
+    """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
     delta = Fraction(delta)
-    terms: dict[Tangle, Fraction] = {}
-    for ta, ca in a.terms.items():
-        for tb, cb in b.terms.items():
+    p, q = delta.numerator, delta.denominator
+    h = a.n // 2
+    weight = [p ** m * q ** (h - m) for m in range(h + 1)]
+    ia, da = _integer_terms(a)
+    ib, db = _integer_terms(b)
+    sums: dict[Tangle, int] = {}
+    for ta, ca in ia:
+        for tb, cb in ib:
             t, m = compose(ta, tb)
-            c = ca * cb * delta ** m
-            if c:
-                s = terms.get(t, Fraction(0)) + c
-                if s:
-                    terms[t] = s
-                else:
-                    del terms[t]
-            elif t in terms and not terms[t]:
-                del terms[t]
+            sums[t] = sums.get(t, 0) + ca * cb * weight[m]
+    denom = da * db * q ** h
     out = AlgebraElement(a.n)
-    out.terms = {t: c for t, c in terms.items() if c}
+    out.terms = {t: Fraction(s, denom) for t, s in sums.items() if s}
     return out
 
 
@@ -146,9 +158,6 @@ def alg_eval_word(w: Word, delta) -> AlgebraElement:
 
 
 # -- checking the loop-weighted relation family --------------------------------
-
-from dataclasses import dataclass
-
 
 @dataclass(frozen=True)
 class RelationCheck:
@@ -214,13 +223,14 @@ def element_to_text(a: AlgebraElement, delta) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ELEMENT_HEADER = re.compile(r"^delta=([^;]+);\s*n=(\d+);$")
+
+
 def element_from_text(text: str) -> tuple[AlgebraElement, Fraction]:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty element text")
-    import re
-
-    m = re.match(r"^delta=([^;]+);\s*n=(\d+);$", lines[0])
+    m = _ELEMENT_HEADER.match(lines[0])
     if not m:
         raise ValueError(f"bad element header {lines[0]!r}")
     delta = Fraction(m.group(1))

@@ -22,14 +22,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import AlphabetError
-from .relations import Step, relation_by_id
+from .relations import Step, relation_by_id, reverse_steps
 from .words import Letter, Word, hooks_to_pairs, letter
 
 __all__ = ["xi_template", "e_certificate"]
-
-
-def _rev(steps):
-    return [Step(s.pos, s.rid, not s.forward) for s in reversed(steps)]
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +165,7 @@ def _tmpl_L2(n, i, j):
     b.expand_e3(j - i, j + 1)
     b.move_right(j - i + 2, 1, n - j - 2)
     assert b.word == list(range(i, n)) + list(range(j, n))
-    return _rev(b.steps)
+    return reverse_steps(b.steps)
 
 
 def _tmpl_L3(n, i):
@@ -189,7 +185,7 @@ def _tmpl_L3(n, i):
     b.move_right(0, 1, (i - 1) * seg)
     b.contract_e3((i - 1) * seg)
     for t in range(i - 2, -1, -1):
-        b.run(_rev(inner), t * seg)
+        b.run(reverse_steps(inner), t * seg)
     assert b.word == list(range(k, n)) * i
     return b.steps
 
@@ -282,7 +278,7 @@ def e_certificate(w: Word) -> tuple[list[Step], tuple[Letter, ...]]:
     for st in deriv.steps:
         offset = sum(n - c.index for c in lr[:st.pos])
         tmpl = xi_template(n, st.rid)
-        b.run(tmpl if st.forward else _rev(tmpl), offset)
+        b.run(tmpl if st.forward else reverse_steps(tmpl), offset)
         rel = relation_by_id(n, st.rid)
         src, dst = (rel.lhs, rel.rhs) if st.forward else (rel.rhs, rel.lhs)
         assert tuple(lr[st.pos:st.pos + len(src)]) == src

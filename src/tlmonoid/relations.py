@@ -77,6 +77,11 @@ class Step:
         return step_to_text(self)
 
 
+def reverse_steps(steps) -> list[Step]:
+    """The inverse chain: the steps in reverse order, each one undone."""
+    return [Step(s.pos, s.rid, not s.forward) for s in reversed(steps)]
+
+
 def _L(i):
     return letter("L", i)
 

@@ -26,6 +26,7 @@ yields a byte-identical derivation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,6 +40,7 @@ from .errors import (
 from .relations import (
     Step,
     relation_index,
+    reverse_steps,
     step_from_text,
     step_to_text,
 )
@@ -105,10 +107,6 @@ def _off(steps, d):
     return [Step(s.pos + d, s.rid, s.forward) for s in steps]
 
 
-def _rev(steps):
-    return [Step(s.pos, s.rid, not s.forward) for s in reversed(steps)]
-
-
 # -- one-sided folding over L -------------------------------------------------
 # The lambda block occupies positions 0..k-1 of the ambient word and the
 # letter being folded sits at position k; emitted steps use those absolute
@@ -135,7 +133,7 @@ def _absorb_L(n, x, j, out):
         tmpl: list[Step] = []
         _absorb_L(n, x, n - 2 * k + 1, tmpl)
         for _ in range(k):
-            out.extend(_rev(tmpl))
+            out.extend(reverse_steps(tmpl))
         out.append(Step(k, f"L3({k})", True))
         for _ in range(k):
             out.extend(tmpl)
@@ -181,7 +179,7 @@ def _absorb_R(n, x, j, base, out):
         tmpl: list[Step] = []
         _absorb_R(n, x, n - 2 * k + 1, 0, tmpl)
         for t in range(1, k + 1):
-            out.extend(_rev(_off(tmpl, base + t)))
+            out.extend(reverse_steps(_off(tmpl, base + t)))
         out.append(Step(base, f"R3({k})", True))
         for t in range(k - 1, -1, -1):
             out.extend(_off(tmpl, base + t))
@@ -486,14 +484,15 @@ def derivation_to_text(d: Derivation) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DERIVATION_HEADER = re.compile(r"^n=(\d+);\s*family=(\w+)$")
+
+
 def derivation_from_text(text: str, start: Word) -> Derivation:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty derivation text")
     head = lines[0]
-    import re
-
-    m = re.match(r"^n=(\d+);\s*family=(\w+)$", head)
+    m = _DERIVATION_HEADER.match(head)
     if not m:
         raise ValueError(f"bad derivation header {head!r}")
     n, family = int(m.group(1)), m.group(2)

@@ -2,23 +2,24 @@
 
 A degree-n tangle is n disjoint strings in a rectangle joining the 2n
 boundary points; up to homotopy it is determined by the induced perfect
-matching on the boundary, so we store exactly that.  Points are signed
-integers: +i is the i-th upper point, -i the i-th lower point.  Walking the
-boundary cycle (upper row left to right, then lower row right to left) gives
-each point a position
+matching on the boundary, so we store exactly that, as a partner array.
+Points are signed integers: +i is the i-th upper point, -i the i-th lower
+point, encoded as i and n + i.  Walking the boundary cycle (upper row left
+to right, then lower row right to left) gives each point a position
 
     pos(+i) = i,     pos(-i) = 2n + 1 - i,
 
 and planarity of the strings is equivalent to no two blocks interleaving in
-position order.  Composition stacks one diagram on top of another, fuses
-the middle row, discards the closed loops that appear in the interior and
-reports how many were discarded; that count is the exponent used by the
-twisted algebra product.  `dagger` is the top-bottom reflection, which makes
-TL_n a regular *-monoid.
+position order, which one stack scan decides.  Composition stacks one
+diagram on top of another, fuses the middle row, discards the closed loops
+that appear in the interior and reports how many were discarded; that count
+is the exponent used by the twisted algebra product.  `dagger` is the
+top-bottom reflection, which makes TL_n a regular *-monoid.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .errors import (
@@ -50,26 +51,26 @@ __all__ = [
 
 
 class Tangle:
-    """An immutable degree-n tangle in canonical block form.
+    """An immutable degree-n tangle stored as its partner array.
 
-    Do not call the constructor with unchecked data; `make_tangle` validates
-    and canonicalizes.  `blocks` is a tuple of point pairs, each pair ordered
-    by boundary position and the pairs sorted by first position, so equality
-    and hashing are plain structural comparisons.
+    `partners` is a tuple of 2n+1 ints indexed by encoded point (+i -> i,
+    -i -> n+i; index 0 holds 0): entry e is the encoded point that e is
+    joined to.  A matching has exactly one such array, so equality and
+    hashing compare the array alone.  Do not call the constructor with
+    unchecked data; `make_tangle` validates.
     """
 
-    __slots__ = ("n", "blocks", "_hash", "_pairs")
+    __slots__ = ("n", "partners", "_hash")
 
-    def __init__(self, n: int, blocks: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, partners: tuple[int, ...]):
         self.n = n
-        self.blocks = blocks
-        self._hash = hash((n, blocks))
-        self._pairs = None
+        self.partners = partners
+        self._hash = hash(partners)
 
     def __eq__(self, other):
         if not isinstance(other, Tangle):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
+        return self.partners == other.partners
 
     def __hash__(self):
         return self._hash
@@ -77,51 +78,66 @@ class Tangle:
     def __repr__(self):
         return f"Tangle[{tangle_to_text(self)}]"
 
-    def pair_array(self) -> list[int]:
-        """Partner table indexed by encoded point (+i -> i, -i -> n+i)."""
-        if self._pairs is None:
-            n = self.n
-            p = [0] * (2 * n + 1)
-            for u, v in self.blocks:
-                eu = u if u > 0 else n - u
-                ev = v if v > 0 else n - v
-                p[eu] = ev
-                p[ev] = eu
-            self._pairs = p
-        return self._pairs
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        """Canonical blocks: each pair, and the pairs, ordered by position."""
+        n, p = self.n, self.partners
+        return tuple(_block(n, p, q) for q, r in _boundary_scan(n, p) if r > q)
 
 
-def _pos(v: int, two_n1: int) -> int:
-    return v if v > 0 else two_n1 + v
+def _boundary_scan(n, p):
+    # (position, partner's position) for every position in boundary order;
+    # the map between positions and encoded points is its own inverse
+    k = 3 * n + 1
+    return enumerate((f if f <= n else k - f
+                      for f in p[1:n + 1] + p[:n:-1]), 1)
 
 
-def _canonical_blocks(n, pairs):
-    two_n1 = 2 * n + 1
-    out = []
-    for u, v in pairs:
-        if _pos(u, two_n1) < _pos(v, two_n1):
-            out.append((u, v))
+def _block(n, p, q):
+    # the block opened at position q, as a pair of signed points
+    e = q if q <= n else 3 * n + 1 - q
+    f = p[e]
+    return (e if e <= n else n - e), (f if f <= n else n - f)
+
+
+def _check_planar(n: int, p: tuple[int, ...]) -> None:
+    """Raise CrossingError unless the strings of partners `p` are disjoint.
+
+    One stack scan in boundary order: each point either opens a string or
+    closes the string opened last.  Only on failure is the pair to report
+    searched for: the first block in canonical order crossing a later one,
+    and the first such later block.  A block crosses the strings opened
+    after it and still open when it closes, so each opening position is
+    unlinked from a list of all of them as its string closes; the next one
+    in the list then opened first after it.
+    """
+    stack = []                      # partners of the open strings
+    for e in range(1, n + 1):       # upper row: opens if partner right or below
+        f = p[e]
+        if f > e:
+            stack.append(f)
+        elif stack.pop() != e:
+            break
+    else:
+        for e in range(2 * n, n, -1):   # lower row: opens if partner is left
+            f = p[e]
+            if n < f < e:
+                stack.append(f)
+            elif stack.pop() != e:
+                break
         else:
-            out.append((v, u))
-    out.sort(key=lambda blk: _pos(blk[0], two_n1))
-    return tuple(out)
-
-
-def _nested_ok(n, canonical_blocks) -> bool:
-    # O(n) balanced-nesting check; valid only on canonicalized blocks.
-    two_n1 = 2 * n + 1
-    closer = [0] * (two_n1 + 1)
-    for u, v in canonical_blocks:
-        closer[_pos(u, two_n1)] = _pos(v, two_n1)
-    stack = []
-    for p in range(1, two_n1):
-        c = closer[p]
-        if c:
-            stack.append(c)
-        else:
-            if not stack or stack.pop() != p:
-                return False
-    return not stack
+            return
+    opens = [q for q, r in _boundary_scan(n, p) if r > q]
+    nxt = dict(zip([0, *opens], [*opens, 2 * n + 1]))
+    prv = dict(zip([*opens, 2 * n + 1], [0, *opens]))
+    best = (2 * n + 1, 0)
+    for q, r in _boundary_scan(n, p):
+        if r < q:
+            later = nxt[r]
+            if later < q:
+                best = min(best, (r, later))
+            nxt[prv[r]], prv[later] = later, prv[r]
+    raise CrossingError(_block(n, p, best[0]), _block(n, p, best[1]))
 
 
 def make_tangle(n: int, blocks) -> Tangle:
@@ -149,21 +165,15 @@ def make_tangle(n: int, blocks) -> Tangle:
             seen.add(w)
         if u == v:
             raise NotAMatching(f"block {blk} repeats a point")
-        pairs.append((u, v))
+        pairs.append((u if u > 0 else n - u, v if v > 0 else n - v))
     if len(pairs) != n:
         raise NotAMatching(f"expected {n} blocks, got {len(pairs)}")
-
-    canon = _canonical_blocks(n, pairs)
-    # pairwise interleaving check, kept quadratic for clarity
-    two_n1 = 2 * n + 1
-    spans = [(_pos(u, two_n1), _pos(v, two_n1)) for u, v in canon]
-    for a in range(len(spans)):
-        pa, qa = spans[a]
-        for b in range(a + 1, len(spans)):
-            pb, qb = spans[b]
-            if pa < pb < qa < qb or pb < pa < qb < qa:
-                raise CrossingError(canon[a], canon[b])
-    return Tangle(n, canon)
+    p = [0] * (2 * n + 1)
+    for eu, ev in pairs:
+        p[eu], p[ev] = ev, eu
+    p = tuple(p)
+    _check_planar(n, p)
+    return Tangle(n, p)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +181,7 @@ def identity(n: int) -> Tangle:
     """The unit of TL_n: n vertical strings."""
     if not isinstance(n, int) or n < 1:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
-    return Tangle(n, tuple((i, -i) for i in range(1, n + 1)))
+    return Tangle(n, (0, *range(n + 1, 2 * n + 1), *range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -181,14 +191,14 @@ def _generator(n: int, kind: str, i: int) -> Tangle:
         blocks.append((i, i + 1))
         blocks.extend((j, -(j - 2)) for j in range(i + 2, n + 1))
         blocks.append((-(n - 1), -n))
-        return Tangle(n, _canonical_blocks(n, blocks))
+        return make_tangle(n, blocks)
     if kind == "rho":
         return dagger(_generator(n, "lambda", i))
     # hook generator e_i
     blocks = [(j, -j) for j in range(1, n + 1) if j != i and j != i + 1]
     blocks.append((i, i + 1))
     blocks.append((-i, -(i + 1)))
-    return Tangle(n, _canonical_blocks(n, blocks))
+    return make_tangle(n, blocks)
 
 
 _KIND_ALIASES = {
@@ -217,88 +227,70 @@ def generator(n: int, kind: str, i: int) -> Tangle:
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
-    Strings are traced through the fused middle row; connected components
-    with two boundary endpoints become blocks, components that never reach
-    the boundary are the interior loops.
+    Strings are traced through the fused middle row, writing the partner
+    array of the product as they reach the boundary; components that never
+    reach the boundary are the interior loops.  Every product is checked
+    to be planar.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
     n = a.n
-    pa = a.pair_array()
-    pb = b.pair_array()
-    blocks = []
-    used_top = [False] * (n + 1)
-    used_bot = [False] * (n + 1)
+    pa = a.partners
+    pb = b.partners
+    out = [0] * (2 * n + 1)
     mid_seen = [False] * (n + 1)
 
     for i in range(1, n + 1):
-        if used_top[i]:
+        if out[i]:
             continue
-        used_top[i] = True
-        in_a, cur = True, pa[i]
-        while True:
-            if in_a:
-                if cur <= n:            # another upper point of a
-                    used_top[cur] = True
-                    blocks.append((i, cur))
-                    break
-                m = cur - n             # fall through the middle row into b
-                mid_seen[m] = True
-                in_a, cur = False, pb[m]
-            else:
-                if cur > n:             # a lower point of b
-                    j = cur - n
-                    used_bot[j] = True
-                    blocks.append((i, -j))
-                    break
-                mid_seen[cur] = True    # climb back into a
-                in_a, cur = True, pa[n + cur]
+        cur = pa[i]
+        while cur > n:                  # until another upper point of a
+            m = cur - n                 # fall through the middle row into b
+            mid_seen[m] = True
+            cur = pb[m]
+            if cur > n:                 # a lower point of b
+                break
+            mid_seen[cur] = True        # climb back into a
+            cur = pa[n + cur]
+        out[i], out[cur] = cur, i
 
-    for j in range(1, n + 1):
-        if used_bot[j]:
+    for j in range(n + 1, 2 * n + 1):
+        if out[j]:
             continue
-        used_bot[j] = True
-        in_b, cur = True, pb[n + j]
-        while True:
-            if in_b:
-                if cur > n:
-                    used_bot[cur - n] = True
-                    blocks.append((-j, -(cur - n)))
-                    break
-                mid_seen[cur] = True
-                in_b, cur = False, pa[n + cur]
-            else:
-                # paths from the bottom cannot end on top: those were all
-                # emitted by the first sweep
-                m = cur - n
-                mid_seen[m] = True
-                in_b, cur = True, pb[m]
+        cur = pb[j]
+        while cur <= n:                 # until another lower point of b
+            mid_seen[cur] = True
+            # paths from the bottom cannot end on top: those were all
+            # written by the first sweep
+            m = pa[n + cur] - n
+            mid_seen[m] = True
+            cur = pb[m]
+        out[j], out[cur] = cur, j
 
     loops = 0
     for m in range(1, n + 1):
         if mid_seen[m]:
             continue
         loops += 1
-        mid_seen[m] = True
-        cur, in_b = m, True
+        cur = m
         while True:
-            if in_b:
-                cur, in_b = pb[cur], False
-            else:
-                cur, in_b = pa[n + cur] - n, True
-            if in_b and cur == m:
+            mid = pb[cur]               # across b, then back across a
+            mid_seen[mid] = True
+            cur = pa[n + mid] - n
+            if cur == m:
                 break
             mid_seen[cur] = True
 
-    canon = _canonical_blocks(n, blocks)
-    result = Tangle(n, canon)
-    assert _nested_ok(n, canon), "composition broke planarity"
-    return result, loops
+    out = tuple(out)
+    _check_planar(n, out)
+    return Tangle(n, out), loops
 
 
 def dagger(a: Tangle) -> Tangle:
     """Reflection through the horizontal midline: every point changes sign."""
-    return Tangle(a.n, _canonical_blocks(a.n, [(-u, -v) for u, v in a.blocks]))
+    n = a.n
+    s = [e + n if e <= n else e - n for e in a.partners]
+    return Tangle(n, (0, *s[n + 1:], *s[1:n + 1]))
 
 
 def profile(a: Tangle) -> tuple[int, frozenset, frozenset]:
@@ -306,15 +298,12 @@ def profile(a: Tangle) -> tuple[int, frozenset, frozenset]:
 
     The rank always has the parity of n, which is asserted.
     """
-    dom = set()
-    codom = set()
-    for u, v in a.blocks:
-        if u > 0 and v < 0:
-            dom.add(u)
-            codom.add(-v)
+    n, p = a.n, a.partners
+    dom = frozenset(i for i in range(1, n + 1) if p[i] > n)
+    codom = frozenset(p[i] - n for i in dom)
     rank = len(dom)
-    assert rank % 2 == a.n % 2, "rank parity violated"
-    return rank, frozenset(dom), frozenset(codom)
+    assert rank % 2 == n % 2, "rank parity violated"
+    return rank, dom, codom
 
 
 def boundary_tuples(a: Tangle) -> tuple[TnTuple, TnTuple]:
@@ -322,16 +311,10 @@ def boundary_tuples(a: Tangle) -> tuple[TnTuple, TnTuple]:
 
     Both results are validated members of T_n.
     """
-    upper = []
-    lower = []
-    for u, v in a.blocks:
-        if u > 0 and v > 0:
-            upper.append(min(u, v))
-        elif u < 0 and v < 0:
-            lower.append(min(-u, -v))
-    upper.sort(reverse=True)
-    lower.sort(reverse=True)
-    return check_tuple(a.n, upper), check_tuple(a.n, lower)
+    n, p = a.n, a.partners
+    upper = [i for i in range(n, 0, -1) if i < p[i] <= n]
+    lower = [j for j in range(n, 0, -1) if p[n + j] > n + j]
+    return check_tuple(n, upper), check_tuple(n, lower)
 
 
 def _packed_pattern(n: int, k: int) -> tuple[int, ...]:
@@ -388,6 +371,9 @@ def tangle_to_text(t: Tangle) -> str:
     return f"n={t.n}; blocks={body}"
 
 
+_BLOCK_TOKEN = re.compile(r"\((-?\d+),(-?\d+)\)")
+
+
 def tangle_from_text(text: str) -> Tangle:
     text = text.strip()
     head, sep, body = text.partition(";")
@@ -402,12 +388,9 @@ def tangle_from_text(text: str) -> Tangle:
         raise ValueError(f"bad blocks token {body!r}")
     rest = body[len("blocks="):]
     blocks = []
-    import re
-
     pos = 0
-    pat = re.compile(r"\((-?\d+),(-?\d+)\)")
     while pos < len(rest):
-        m = pat.match(rest, pos)
+        m = _BLOCK_TOKEN.match(rest, pos)
         if not m:
             raise ValueError(f"bad block token at {rest[pos:pos+16]!r}")
         blocks.append((int(m.group(1)), int(m.group(2))))
@@ -420,4 +403,9 @@ def tangle_to_doc(t: Tangle) -> dict:
 
 
 def tangle_from_doc(doc: dict) -> Tangle:
+    if not isinstance(doc, dict):
+        raise ValueError(f"tangle document is {type(doc).__name__}, not dict")
+    for key in ("n", "blocks"):
+        if key not in doc:
+            raise ValueError(f"tangle document has no {key!r} key")
     return make_tangle(int(doc["n"]), doc["blocks"])

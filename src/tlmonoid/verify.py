@@ -70,17 +70,14 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
     if n > _MAX_ENUM_DEGREE:
         raise DegreeTooLarge(f"enumeration capped at degree {_MAX_ENUM_DEGREE}")
-    two_n1 = 2 * n + 1
-
-    def point(p: int) -> int:
-        return p if p <= n else -(two_n1 - p)
-
+    # boundary position -> encoded point: +i is i, -i is n + i
+    enc = [p if p <= n else 3 * n + 1 - p for p in range(2 * n + 1)]
     out = []
     for matching in _segment_matchings(tuple(range(1, 2 * n + 1))):
-        # pairs come out with positions ordered inside each block, so sorting
-        # by the first position is exactly the canonical block order
-        blocks = tuple((point(p), point(q)) for p, q in sorted(matching))
-        out.append(Tangle(n, blocks))
+        partners = [0] * (2 * n + 1)
+        for p, q in matching:
+            partners[enc[p]], partners[enc[q]] = enc[q], enc[p]
+        out.append(Tangle(n, tuple(partners)))
     assert len(out) == catalan(n)
     return tuple(out)
 

@@ -4,6 +4,7 @@ Everything here works on raw block lists and avoids the package's own code
 paths, so the tests compare two genuinely different computations.
 """
 
+from fractions import Fraction
 from math import comb
 
 
@@ -80,6 +81,22 @@ def naive_compose(n, blocks_a, blocks_b):
             assert len(boundary) == 2
             blocks.append(frozenset(boundary))
     return frozenset(blocks), loops
+
+
+def naive_alg_mul(n, terms_a, terms_b, delta):
+    """The bilinear product as a plain Fraction double loop.
+
+    `terms_a` and `terms_b` map block lists to coefficients; the result maps
+    frozensets of blocks to their nonzero coefficients.
+    """
+    delta = Fraction(delta)
+    out = {}
+    for blocks_a, ca in terms_a.items():
+        for blocks_b, cb in terms_b.items():
+            blocks, loops = naive_compose(n, blocks_a, blocks_b)
+            c = ca * cb * delta ** loops
+            out[blocks] = out.get(blocks, Fraction(0)) + c
+    return {blocks: c for blocks, c in out.items() if c}
 
 
 def all_matchings(points):

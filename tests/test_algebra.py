@@ -12,6 +12,7 @@ from tlmonoid import (
     add,
     alg_eval_word,
     alg_mul,
+    compose,
     element_from_text,
     element_to_text,
     enumerate_TL,
@@ -22,6 +23,8 @@ from tlmonoid import (
     word_from_text,
     zero,
 )
+
+from oracles import as_blockset, naive_alg_mul
 
 
 def hook(n, i):
@@ -164,3 +167,46 @@ def test_element_text_golden():
     e = scale(2, hook(5, 4))
     assert element_to_text(e, 2) == (
         "delta=2; n=5;\n2 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
+
+
+def dense_element(rng, n, basis, terms):
+    return AlgebraElement(n, {
+        t: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        for t in rng.sample(basis, terms)})
+
+
+def cancelling_pair(rng, basis):
+    # t, s1 != s2 with the same product and loop count, so t * (s1 - s2) = 0
+    while True:
+        t = rng.choice(basis)
+        seen = {}
+        for s in rng.sample(basis, len(basis)):
+            prod = compose(t, s)
+            if prod in seen:
+                return t, seen[prod], s
+            seen[prod] = s
+
+
+@pytest.mark.parametrize("delta", [0, 2, Fraction(1, 3), Fraction(-3, 2)])
+def test_alg_mul_matches_fraction_double_loop(delta):
+    rng = random.Random(13)
+    for n in (2, 4, 5, 7):
+        basis = list(enumerate_TL(n))
+        cases = [(dense_element(rng, n, basis, min(len(basis), 12)),
+                  dense_element(rng, n, basis, min(len(basis), 12)))
+                 for _ in range(4)]
+        if n > 2:
+            t, s1, s2 = cancelling_pair(rng, basis)
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            a = AlgebraElement(n, {t: Fraction(5, 7)})
+            b = AlgebraElement(n, {s1: c, s2: -c})
+            assert alg_mul(a, b, delta).is_zero()
+            extra = dense_element(rng, n, basis, 3)
+            cases += [(a, b), (a + extra, b), (b, a)]
+        for a, b in cases:
+            got = alg_mul(a, b, delta)
+            want = naive_alg_mul(
+                n, {t.blocks: c for t, c in a.terms.items()},
+                {t.blocks: c for t, c in b.terms.items()}, delta)
+            assert {as_blockset(t): c for t, c in got.terms.items()} == want
+            assert all(type(c) is Fraction and c for c in got.terms.values())

@@ -9,12 +9,14 @@ from tlmonoid import (
     DegreeMismatch,
     LengthMismatch,
     NotAMatching,
+    Tangle,
     boundary_tuples,
     build_tangle,
     check_tuple,
     compose,
     dagger,
     enumerate_tuples,
+    evaluate,
     factorize,
     generator,
     identity,
@@ -25,6 +27,7 @@ from tlmonoid import (
     tangle_from_text,
     tangle_to_doc,
     tangle_to_text,
+    word_from_text,
 )
 
 from oracles import as_blockset, naive_bl_br, naive_compose
@@ -68,6 +71,26 @@ def test_make_tangle_degree_one_identity():
 def test_make_tangle_rejects_crossing():
     with pytest.raises(CrossingError):
         make_tangle(2, [(1, -2), (2, -1)])
+
+
+def test_crossing_error_names_first_crossing_pair():
+    # (4,6) crosses (5,-7) first along the boundary, but the first block in
+    # canonical order with a crossing is (3,-2), whose first partner is (7,-1)
+    with pytest.raises(CrossingError) as exc:
+        make_tangle(7, [(1, 2), (3, -2), (4, 6), (5, -7), (7, -1),
+                        (-3, -4), (-5, -6)])
+    assert (exc.value.block_a, exc.value.block_b) == ((3, -2), (7, -1))
+    assert str(exc.value) == "blocks (3, -2) and (7, -1) cross"
+    with pytest.raises(CrossingError) as exc:
+        make_tangle(6, [(1, 4), (2, 5), (3, -1), (6, -4), (-2, -6), (-3, -5)])
+    assert (exc.value.block_a, exc.value.block_b) == ((1, 4), (2, 5))
+
+
+def test_make_tangle_rejects_huge_degree_without_allocating():
+    with pytest.raises(NotAMatching):
+        tangle_from_text("n=1000000000000; blocks=")
+    with pytest.raises(NotAMatching):
+        make_tangle(10 ** 12, [(1, -1)])
 
 
 def test_make_tangle_rejects_bad_degree():
@@ -151,15 +174,32 @@ def test_lambda_rho_products_make_hooks():
     assert loops == 1 and got == as_blockset(generator(5, "e", 2))
 
 
+def test_compose_checks_planarity_of_every_product():
+    # a crossing partner array smuggled past make_tangle: +1 ~ -2, +2 ~ -1
+    crossed = Tangle(2, (0, 4, 3, 2, 1))
+    with pytest.raises(CrossingError):
+        compose(crossed, identity(2))
+
+
 def test_compose_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         compose(identity(3), identity(4))
 
 
+def word_tangles(n, count, rng):
+    # tangles evaluated from random words over all three alphabets
+    return [evaluate(word_from_text(n, " ".join(
+                f"{rng.choice('LRE')}{rng.randint(1, n - 1)}"
+                for _ in range(rng.randint(0, 3 * n)))))[0]
+            for _ in range(count)]
+
+
 def test_compose_agrees_with_union_find_oracle():
     rng = random.Random(7)
-    for n in (3, 4, 5, 6):
-        ts = all_tangles(n)
+    pools = [all_tangles(n) for n in (1, 2, 3, 4, 5, 6, 9, 10)]
+    pools.append(word_tangles(33, 40, rng))
+    for ts in pools:
+        n = ts[0].n
         for _ in range(120):
             a, b = rng.choice(ts), rng.choice(ts)
             got, m = compose(a, b)
@@ -392,3 +432,12 @@ def test_doc_round_trip(alpha):
     assert doc["n"] == 9
     assert doc["blocks"][0] == [1, -3]
     assert tangle_from_doc(doc) == alpha
+
+
+def test_doc_rejects_missing_keys_and_non_objects():
+    with pytest.raises(ValueError, match="'blocks'"):
+        tangle_from_doc({"n": 3})
+    with pytest.raises(ValueError, match="'n'"):
+        tangle_from_doc({"blocks": [[1, -1]]})
+    with pytest.raises(ValueError, match="list"):
+        tangle_from_doc([1, [[1, -1]]])
