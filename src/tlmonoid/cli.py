@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (or `eq` decided equal), 1 `eq` decided not-equal,
-2 usage or parse error, 3 a verification or certificate check failed.
+2 usage or parse error, 3 a verification or certificate check failed,
+4 internal error (an unexpected exception, reported on one line).
 Words are single quoted arguments in the token grammar `L<i> R<i> E<i>`
 (case-insensitive, `1` for the empty word); tangles travel in their
 one-line text format.  `--format doc` switches to structured JSON output.
@@ -40,6 +41,7 @@ from .words import Word, evaluate, word_from_text, word_to_text
 
 USAGE_ERROR = 2
 CHECK_FAILED = 3
+INTERNAL_ERROR = 4
 
 
 def _parse_word(n, text):
@@ -395,6 +397,10 @@ def main(argv=None) -> int:
     except (TLError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        # never exit 1, which means "not equal", on a failure of our own
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -266,15 +266,19 @@ def e_certificate(w: Word) -> tuple[list[Step], tuple[Letter, ...]]:
     """
     from .rewrite import normal_form
 
+    return _translate_certificate(w, normal_form(hooks_to_pairs(w))[1])
+
+
+def _translate_certificate(w: Word, deriv):
+    # `deriv` is the Omega certificate of the lifted word hooks_to_pairs(w);
+    # normal_form_E passes the one it already has, so it is computed once
     n = w.n
     b = _EBuilder(n, [c.index for c in w.letters])
     for p in range(len(w.letters) - 1, -1, -1):
         b.wh_expand(p)
-    lifted = hooks_to_pairs(w)
-    assert b.word == _hat_indices(n, lifted.letters)
+    assert b.word == _hat_indices(n, deriv.start)
 
-    _, deriv = normal_form(lifted)
-    lr = list(lifted.letters)
+    lr = list(deriv.start)
     for st in deriv.steps:
         offset = sum(n - c.index for c in lr[:st.pos])
         tmpl = xi_template(n, st.rid)

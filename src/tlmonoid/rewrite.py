@@ -143,18 +143,29 @@ def _insert_L(n, x, j, out):
     # L_x L_j ~ L_y with |y| = k+1, for j <= n-2k-1; returns y
     k = len(x)
     if k == 0 or x[-1] > j:
-        return x + [j]
+        return x + (j,)
     out.append(Step(k - 1, f"L2({x[-1]},{j})", True))
-    y = _insert_L(n, x[:-1], j + 2, out)
-    y.append(x[-1])
-    return y
+    return _insert_L(n, x[:-1], j + 2, out) + (x[-1],)
 
 
-def _fold_L(n, x, j, out):
-    if x and j >= n - 2 * len(x):
-        _absorb_L(n, x, j, out)
-        return x
-    return _insert_L(n, x, j, out)
+def _fold_L(n, x, j, out, memo):
+    """Fold L_j into the tuple x (a tuple of ints); returns the new tuple.
+
+    `memo` maps (x, j) to (y, steps) for the folds already made by the
+    calling derivation.  The block starts at position 0, so the steps are
+    absolute and are appended to `out` as they are, on a hit as on a miss.
+    """
+    hit = memo.get((x, j))
+    if hit is None:
+        steps: list[Step] = []
+        if x and j >= n - 2 * len(x):
+            _absorb_L(n, x, j, steps)
+            y = x
+        else:
+            y = _insert_L(n, x, j, steps)
+        hit = memo[x, j] = (y, tuple(steps))
+    out.extend(hit[1])
+    return hit[0]
 
 
 # -- one-sided folding over R -------------------------------------------------
@@ -209,29 +220,40 @@ def _reduce_R(n, idxs, out, offset=0):
 
 # -- pushing a lambda letter through a rho word --------------------------------
 
-def _push(n, p, j):
+def _push(n, p, j, memo):
     """P L_j ~ Lambda P' with only RL steps; returns (lambda, residue, steps).
 
+    `p` is a tuple of rho indices and all three results are tuples.
     Positions are relative to the start of P.  The residue is never longer
     than P, and strictly shorter whenever an RL2 case fires.
+
+    RL1 and RL3 recurse twice, and the sub-pushes repeat many times within
+    one derivation, so `memo` maps (p, j) to the result of every push the
+    calling derivation has already made.  The caller owns it and drops it
+    when the derivation is complete.
     """
+    hit = memo.get((p, j))
+    if hit is not None:
+        return hit
     if not p:
-        return [j], [], []
-    q = p[:-1]
-    i = p[-1]
-    if abs(i - j) <= 1:
-        steps = [Step(len(q), f"RL2({i},{j})", True)]
-        lam, resid, s = _push(n, q, n - 1)
-        return lam, resid, steps + s
-    if j <= i - 2:
-        steps = [Step(len(q), f"RL1({i},{j})", True)]
-        lam1, q1, s1 = _push(n, q, n - 1)
-        lam2, q2, s2 = _push(n, q1, j)
-        return lam1 + lam2, q2 + [i - 2], steps + s1 + _off(s2, len(lam1))
-    steps = [Step(len(q), f"RL3({i},{j})", True)]
-    lam1, q1, s1 = _push(n, q, n - 1)
-    lam2, q2, s2 = _push(n, q1, j - 2)
-    return lam1 + lam2, q2 + [i], steps + s1 + _off(s2, len(lam1))
+        res = (j,), (), ()
+    else:
+        q = p[:-1]
+        i = p[-1]
+        lam1, q1, s1 = _push(n, q, n - 1, memo)
+        if abs(i - j) <= 1:
+            res = lam1, q1, (Step(len(q), f"RL2({i},{j})", True),) + s1
+        else:
+            if j <= i - 2:
+                rid, j2, i2 = f"RL1({i},{j})", j, i - 2
+            else:
+                rid, j2, i2 = f"RL3({i},{j})", j - 2, i
+            lam2, q2, s2 = _push(n, q1, j2, memo)
+            res = (lam1 + lam2, q2 + (i2,),
+                   (Step(len(q), rid, True),) + s1
+                   + tuple(_off(s2, len(lam1))))
+    memo[p, j] = res
+    return res
 
 
 # -- padding the shorter side --------------------------------------------------
@@ -271,21 +293,23 @@ def _check_degree(n):
 
 def _refold_R(n, idxs, out, offset):
     z = _reduce_R(n, idxs, out, offset)
-    return z[::-1]          # the reduced word's letters, in ascending order
+    return tuple(z[::-1])   # the reduced word's letters, in ascending order
 
 
 def _separate_fold(n, letters, out):
     """Sweep the word; keep the lambda tuple and the reduced rho suffix."""
-    x: list[int] = []
-    v: list[int] = []
+    x: tuple[int, ...] = ()
+    v: tuple[int, ...] = ()
+    push_memo: dict = {}
+    fold_memo: dict = {}
     for c in letters:
         if c.alphabet == "R":
-            v = _refold_R(n, v + [c.index], out, len(x))
+            v = _refold_R(n, v + (c.index,), out, len(x))
         else:
-            lam, resid, ps = _push(n, v, c.index)
+            lam, resid, ps = _push(n, v, c.index, push_memo)
             out.extend(_off(ps, len(x)))
             for i in lam:
-                x = _fold_L(n, x, i, out)
+                x = _fold_L(n, x, i, out, fold_memo)
             if resid == v[:len(resid)]:
                 v = resid   # untouched prefix of a reduced word stays reduced
             else:
@@ -298,12 +322,12 @@ def _balance(n, x, v, out):
     if k > l:
         for _ in range(k - l):
             out.extend(_lrlr_lambda(n, x))
-            v = _refold_R(n, [n - 2 * k + 1] + v, out, k)
+            v = _refold_R(n, (n - 2 * k + 1,) + v, out, k)
     elif l > k:
         z = v[::-1]
         for _ in range(l - k):
             out.extend(_off(_lrlr_rho(n, z), len(x)))
-            x = _fold_L(n, x, n - 2 * l + 1, out)
+            x = _fold_L(n, x, n - 2 * l + 1, out, {})
     assert len(x) == len(v), "padding failed to balance the tuples"
     return x, v
 
@@ -330,9 +354,10 @@ def reduce_one_sided(w: Word) -> tuple[TnTuple, Derivation]:
         raise AlphabetError("reduce_one_sided needs a pure L word or pure R word")
     steps: list[Step] = []
     if alphabets <= {"L"}:
-        x: list[int] = []
+        x: tuple[int, ...] = ()
+        memo: dict = {}
         for c in w.letters:
-            x = _fold_L(w.n, x, c.index, steps)
+            x = _fold_L(w.n, x, c.index, steps, memo)
         end = tuple(letter("L", i) for i in x)
         tup = check_tuple(w.n, x)
     else:
@@ -352,7 +377,7 @@ def push_lambda(p: Word, j: int) -> tuple[Word, Word, Derivation]:
     _only(p.letters, {"R"}, "push_lambda")
     if not 1 <= j <= p.n - 1:
         raise IndexError(f"letter index {j} outside [1, {p.n - 1}]")
-    lam, resid, steps = _push(p.n, [c.index for c in p.letters], j)
+    lam, resid, steps = _push(p.n, tuple(c.index for c in p.letters), j, {})
     start = p.letters + (letter("L", j),)
     u = tuple(letter("L", i) for i in lam)
     v = tuple(letter("R", i) for i in resid)
@@ -364,7 +389,10 @@ def separate(w: Word) -> tuple[Word, Word, Derivation]:
     """Split a mixed lambda/rho word as w ~ u v with u over L and v over R.
 
     Both parts are kept folded while sweeping, which bounds the rho suffix
-    by n // 2 letters and so keeps the push recursion shallow.
+    by n // 2 letters and so the depth of the push recursion.  Its width is
+    not bounded: RL1 and RL3 each recurse twice, so one push revisits the
+    same (suffix, letter) states many times.  The sweep therefore keeps one
+    memo of push results and one of fold results for the whole word.
     """
     _check_degree(w.n)
     _only(w.letters, {"L", "R"}, "separate")
@@ -406,12 +434,12 @@ def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
     through its lambda-rho telescope, then replays the Omega certificate of
     the lifted word through the per-relation step templates.
     """
-    from .etranslate import e_certificate
+    from .etranslate import _translate_certificate
 
     _check_degree(w.n)
     _only(w.letters, {"E"}, "normal_form_E")
-    nf, _ = normal_form(w)
-    steps, end = e_certificate(w)
+    nf, lifted = normal_form(w)
+    steps, end = _translate_certificate(w, lifted)
     return nf, Word(w.n, end), Derivation(w.n, "Xi", w.letters,
                                           tuple(steps), end)
 
@@ -501,5 +529,13 @@ def derivation_from_text(text: str, start: Word) -> Derivation:
     if not lines[-1].startswith("end="):
         raise ValueError("derivation text is missing its end line")
     end = word_from_text(n, lines[-1][4:])
-    steps = tuple(step_from_text(ln) for ln in lines[1:-1])
-    return Derivation(n, family, start.letters, steps, end.letters)
+    # certificates repeat lines heavily: parse each distinct line once and
+    # share its frozen Step; the first bad line still raises first
+    parsed: dict[str, Step] = {}
+    steps: list[Step] = []
+    for ln in lines[1:-1]:
+        st = parsed.get(ln)
+        if st is None:
+            st = parsed[ln] = step_from_text(ln)
+        steps.append(st)
+    return Derivation(n, family, start.letters, tuple(steps), end.letters)

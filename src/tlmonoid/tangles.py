@@ -408,4 +408,9 @@ def tangle_from_doc(doc: dict) -> Tangle:
     for key in ("n", "blocks"):
         if key not in doc:
             raise ValueError(f"tangle document has no {key!r} key")
-    return make_tangle(int(doc["n"]), doc["blocks"])
+    try:
+        n = int(doc["n"])
+        blocks = [tuple(map(int, blk)) for blk in doc["blocks"]]
+    except TypeError as exc:
+        raise ValueError(f"malformed tangle document: {exc}") from None
+    return make_tangle(n, blocks)

@@ -132,6 +132,19 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+def test_unexpected_exception_exits_four(monkeypatch, capsys):
+    from tlmonoid import cli
+
+    def boom(args):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr(cli, "_cmd_eval", boom)
+    assert cli.main(["eval", "--n", "5", "L1"]) == cli.INTERNAL_ERROR == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: simulated failure\n"
+
+
 def test_determinism_of_nf_and_verify():
     args = ("verify", "4", "--fuzz", "40", "--seed", "11")
     outs = {run_cli(*args)[1] for _ in range(2)}

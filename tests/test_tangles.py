@@ -441,3 +441,14 @@ def test_doc_rejects_missing_keys_and_non_objects():
         tangle_from_doc({"blocks": [[1, -1]]})
     with pytest.raises(ValueError, match="list"):
         tangle_from_doc([1, [[1, -1]]])
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": None, "blocks": []},
+    {"n": 2, "blocks": 5},
+    {"n": 2, "blocks": [1, 2]},
+    {"n": 2, "blocks": [[None, 1], [2, -1]]},
+])
+def test_doc_rejects_malformed_fields_with_value_error(doc):
+    with pytest.raises(ValueError, match="malformed tangle document"):
+        tangle_from_doc(doc)
