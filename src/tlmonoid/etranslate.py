@@ -2,9 +2,10 @@
 
 Under the substitution L_i -> E_i E_{i+1} .. E_{n-1}, R_i -> E_{n-1} .. E_i,
 every lambda/rho relation instance maps to a fixed chain of E1/E2/E3
-rewrites.  This module constructs those chains as replayable step templates
-and uses them to translate a whole Omega derivation, step by step, into an
-E-alphabet derivation.  The key ingredients:
+rewrites.  This module constructs those chains as step templates, checks
+each one once by replaying it from hat(lhs) to hat(rhs), and translates a
+whole Omega derivation into an E-alphabet derivation by placing the checked
+templates at offsets.  The key ingredients:
 
   * the telescope E_i E_{i+1}..E_{n-1} E_{n-1}..E_{i+1} E_i collapses onto
     E_i by one E1 and a ladder of E3 contractions (and expands by the
@@ -15,6 +16,9 @@ E-alphabet derivation.  The key ingredients:
     their templates are obtained by reflecting positions.
 
 Templates are relative to position 0 and are cached per (degree, relation).
+Because hat is a monoid homomorphism, a template checked on hat(lhs) is
+valid on hat(u lhs v) once shifted by |hat(u)|; only the short L/R word is
+replayed during a translation, never the E-word.
 """
 
 from __future__ import annotations
@@ -45,7 +49,12 @@ def _e_sides(rid: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class _EBuilder:
-    """Mutable E-word together with the steps that produced it."""
+    """Mutable E-word together with the steps that produced it.
+
+    Every step is matched against the word before it is applied.  Used for
+    the hook expansion and for building and checking templates; templates
+    are then placed by offset without a builder.
+    """
 
     def __init__(self, n: int, idxs):
         self.n = n
@@ -53,14 +62,15 @@ class _EBuilder:
         self.steps: list[Step] = []
 
     def _emit(self, pos, rid, forward, src, dst):
-        assert tuple(self.word[pos:pos + len(src)]) == src, \
-            f"{rid} does not match at {pos}"
+        if pos < 0 or tuple(self.word[pos:pos + len(src)]) != src:
+            raise RuntimeError(f"{rid} does not match at {pos}")
         self.steps.append(Step(pos, rid, forward))
         self.word[pos:pos + len(src)] = dst
 
     def swap(self, pos):
         i, j = self.word[pos], self.word[pos + 1]
-        assert abs(i - j) > 1, f"cannot commute E{i} past E{j}"
+        if abs(i - j) <= 1:
+            raise RuntimeError(f"cannot commute E{i} past E{j}")
         self._emit(pos, f"E2({i},{j})", True, (i, j), (j, i))
 
     def contract_e1(self, pos):
@@ -145,7 +155,8 @@ def _mirror(start_idxs, steps):
         src, dst = (lhs, rhs) if st.forward else (rhs, lhs)
         out.append(Step(len(word) - st.pos - len(src), _mirror_rid(st.rid),
                         st.forward))
-        assert tuple(word[st.pos:st.pos + len(src)]) == src
+        if st.pos < 0 or tuple(word[st.pos:st.pos + len(src)]) != src:
+            raise RuntimeError(f"{st.rid} does not match at {st.pos}")
         word[st.pos:st.pos + len(src)] = dst
     return out
 
@@ -164,7 +175,8 @@ def _tmpl_L2(n, i, j):
     b.move_right(0, n - j - 2, j - i + 1)
     b.expand_e3(j - i, j + 1)
     b.move_right(j - i + 2, 1, n - j - 2)
-    assert b.word == list(range(i, n)) + list(range(j, n))
+    if b.word != list(range(i, n)) + list(range(j, n)):
+        raise RuntimeError(f"broken template L2({i},{j})")
     return reverse_steps(b.steps)
 
 
@@ -186,7 +198,8 @@ def _tmpl_L3(n, i):
     b.contract_e3((i - 1) * seg)
     for t in range(i - 2, -1, -1):
         b.run(reverse_steps(inner), t * seg)
-    assert b.word == list(range(k, n)) * i
+    if b.word != list(range(k, n)) * i:
+        raise RuntimeError(f"broken template L3({i})")
     return b.steps
 
 
@@ -199,7 +212,8 @@ def _tmpl_RL2(n, i, j):
         t0 = min(i, j)
     for t in range(t0, n - 1):
         b.contract_e3(n - t - 2)
-    assert b.word == [n - 1]
+    if b.word != [n - 1]:
+        raise RuntimeError(f"broken template RL2({i},{j})")
     return b.steps
 
 
@@ -250,10 +264,11 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
         steps = _mirror(lhs_idxs, xi_template(n, mate))
     else:
         raise ValueError(f"no hook-alphabet template for relation {rid!r}")
-    if __debug__:
-        got = _EBuilder(n, _hat_indices(n, rel.lhs))
-        got.run(steps)
-        assert got.word == _hat_indices(n, rel.rhs), f"broken template {rid}"
+    # the proof every placement of this template rests on
+    got = _EBuilder(n, _hat_indices(n, rel.lhs))
+    got.run(steps)
+    if got.word != _hat_indices(n, rel.rhs):
+        raise RuntimeError(f"broken template {rid}")
     return tuple(steps)
 
 
@@ -261,8 +276,9 @@ def e_certificate(w: Word) -> tuple[list[Step], tuple[Letter, ...]]:
     """Certificate over E1/E2/E3 carrying `w` to its canonical E-word.
 
     Phase one expands every hook through its telescope, reaching the hat
-    image of the lifted lambda/rho word; phase two replays that word's
-    Omega certificate template by template.
+    image of the lifted lambda/rho word; phase two places, for each step of
+    that word's Omega certificate, the relation's checked template at the
+    offset of the matched segment's hat image.
     """
     from .rewrite import normal_form
 
@@ -276,18 +292,30 @@ def _translate_certificate(w: Word, deriv):
     b = _EBuilder(n, [c.index for c in w.letters])
     for p in range(len(w.letters) - 1, -1, -1):
         b.wh_expand(p)
-    assert b.word == _hat_indices(n, deriv.start)
+    if b.word != _hat_indices(n, deriv.start):
+        raise RuntimeError("hook expansion does not reach the lifted word")
 
+    steps = b.steps
     lr = list(deriv.start)
+    placed: dict[tuple[str, bool, int], list[Step]] = {}
     for st in deriv.steps:
-        offset = sum(n - c.index for c in lr[:st.pos])
-        tmpl = xi_template(n, st.rid)
-        b.run(tmpl if st.forward else reverse_steps(tmpl), offset)
         rel = relation_by_id(n, st.rid)
         src, dst = (rel.lhs, rel.rhs) if st.forward else (rel.rhs, rel.lhs)
-        assert tuple(lr[st.pos:st.pos + len(src)]) == src
+        if st.pos < 0 or tuple(lr[st.pos:st.pos + len(src)]) != src:
+            raise RuntimeError(f"{st.rid} does not match the lifted word "
+                               f"at {st.pos}")
+        # |hat(c)| = n - index for both L_index and R_index
+        offset = sum(n - c.index for c in lr[:st.pos])
+        key = (st.rid, st.forward, offset)
+        block = placed.get(key)
+        if block is None:
+            tmpl = xi_template(n, st.rid)
+            if not st.forward:
+                tmpl = reverse_steps(tmpl)
+            block = placed[key] = [Step(s.pos + offset, s.rid, s.forward)
+                                   for s in tmpl]
+        steps.extend(block)
         lr[st.pos:st.pos + len(src)] = dst
 
-    assert b.word == _hat_indices(n, lr)
-    end = tuple(letter("E", i) for i in b.word)
-    return b.steps, end
+    end = tuple(letter("E", i) for i in _hat_indices(n, lr))
+    return steps, end

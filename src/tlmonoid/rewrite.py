@@ -431,8 +431,8 @@ def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
 
     The canonical E-word is the hat image of the balanced word L_x R_y (not
     a shortest representative).  The certificate first expands each hook
-    through its lambda-rho telescope, then replays the Omega certificate of
-    the lifted word through the per-relation step templates.
+    through its lambda-rho telescope, then places the checked per-relation
+    step template of each step of the lifted word's Omega certificate.
     """
     from .etranslate import _translate_certificate
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here works on raw block lists and avoids the package's own code
-paths, so the tests compare two genuinely different computations.
+paths, so the tests compare two genuinely different computations.  The one
+exception, `replay_translate`, names the package results it builds on.
 """
 
 from fractions import Fraction
@@ -123,3 +124,75 @@ def naive_bl_br(n, blocks):
 
 def as_blockset(tangle):
     return frozenset(frozenset(b) for b in tangle.blocks)
+
+
+def _e_sides(rid):
+    name, _, rest = rid.partition("(")
+    args = tuple(int(a) for a in rest.rstrip(")").split(","))
+    if name == "E1":
+        return (args[0], args[0]), (args[0],)
+    if name == "E2":
+        return args, args[::-1]
+    if name == "E3":
+        return (args[0], args[1], args[0]), (args[0],)
+    raise ValueError(f"not an E relation id: {rid!r}")
+
+
+def replay_translate(w, deriv=None):
+    """Xi certificate of an E-word by replaying every step on the whole word.
+
+    The reference for the translation in `normal_form_E`: it expands each
+    hook through its telescope, then replays every step of every Omega
+    relation's template at its offset on the full E-word, matching each one
+    before applying it.  It shares only the lifted Omega certificate and the
+    template table with the package.  `deriv` is the Omega certificate to
+    translate, by default the normal form certificate of the lifted word.
+    Returns (steps, end indices).
+    """
+    from tlmonoid import (Step, hooks_to_pairs, normal_form, relation_by_id,
+                          xi_template)
+
+    n = w.n
+    word = [c.index for c in w.letters]
+    steps = []
+
+    def emit(pos, rid, forward):
+        lhs, rhs = _e_sides(rid)
+        src, dst = (lhs, rhs) if forward else (rhs, lhs)
+        if pos < 0 or tuple(word[pos:pos + len(src)]) != src:
+            raise AssertionError(f"{rid} does not match at {pos}")
+        word[pos:pos + len(src)] = dst
+        steps.append(Step(pos, rid, forward))
+
+    def hat(letters):
+        out = []
+        for c in letters:
+            span = range(c.index, n)
+            out.extend(span if c.alphabet == "L" else reversed(span))
+        return out
+
+    # E_i -> E_i .. E_{n-1} E_{n-1} .. E_i, rightmost hook first
+    for p in range(len(word) - 1, -1, -1):
+        while word[p] != n - 1:
+            emit(p, f"E3({word[p]},{word[p] + 1})", False)
+            p += 1
+        emit(p, f"E1({n - 1})", False)
+
+    if deriv is None:
+        deriv = normal_form(hooks_to_pairs(w))[1]
+    if word != hat(deriv.start):
+        raise AssertionError("hook expansion does not reach the lifted word")
+    lr = list(deriv.start)
+    for st in deriv.steps:
+        offset = len(hat(lr[:st.pos]))
+        tmpl = xi_template(n, st.rid)
+        if not st.forward:
+            tmpl = [Step(s.pos, s.rid, not s.forward) for s in reversed(tmpl)]
+        for s in tmpl:
+            emit(s.pos + offset, s.rid, s.forward)
+        rel = relation_by_id(n, st.rid)
+        src, dst = (rel.lhs, rel.rhs) if st.forward else (rel.rhs, rel.lhs)
+        lr[st.pos:st.pos + len(src)] = dst
+    if word != hat(lr):
+        raise AssertionError("replay does not end on the hat image")
+    return steps, tuple(word)

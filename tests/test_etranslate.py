@@ -1,22 +1,33 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from tlmonoid import (
     AlphabetError,
+    Derivation,
     Word,
     boundary_tuples,
     check_derivation,
     equal_words,
     evaluate,
     hat,
+    hooks_to_pairs,
+    normal_form,
     normal_form_E,
     relation_set,
     word_from_text,
     word_to_text,
     xi_template,
 )
-from tlmonoid.etranslate import _EBuilder, _hat_indices
+from tlmonoid import etranslate
+from tlmonoid.etranslate import _EBuilder, _hat_indices, _translate_certificate
+from tlmonoid.relations import reverse_steps
+
+from oracles import replay_translate
 
 
 def W(n, text):
@@ -107,3 +118,98 @@ def test_equal_words_across_alphabets():
     assert res.equal
     assert res.derivation1.family == "Xi"
     assert res.derivation2.family == "Omega"
+
+
+def _random_e_word(rng, n, length):
+    return Word(n, tuple(W(n, f"E{rng.randint(1, n - 1)}").letters[0]
+                         for _ in range(length)))
+
+
+def test_normal_form_E_matches_whole_word_replay():
+    rng = random.Random(4)
+    for n in (3, 4, 5, 9, 12, 15):
+        for length in range(26):
+            w = _random_e_word(rng, n, length)
+            _, canonical, d = normal_form_E(w)
+            steps, end = replay_translate(w)
+            assert d.steps == tuple(steps), word_to_text(w)
+            assert tuple(c.index for c in canonical.letters) == end
+            assert tuple(c.index for c in d.end) == end
+
+
+def test_backward_omega_steps_place_inverted_templates():
+    # normal_form only emits forward steps; a certificate that goes to the
+    # normal form and back exercises the backward placements as well
+    rng = random.Random(5)
+    for n in (4, 9, 12):
+        for length in (3, 8, 14):
+            w = _random_e_word(rng, n, length)
+            d = normal_form(hooks_to_pairs(w))[1]
+            back = tuple(reverse_steps(d.steps))
+            there_and_back = Derivation(n, "Omega", d.start, d.steps + back,
+                                        d.start)
+            steps, end = _translate_certificate(w, there_and_back)
+            want_steps, want_end = replay_translate(w, there_and_back)
+            assert steps == want_steps, word_to_text(w)
+            assert tuple(c.index for c in end) == want_end
+            xi = Derivation(n, "Xi", w.letters, tuple(steps), end)
+            assert check_derivation(xi, "Xi") == hat(d.start_word())
+
+
+def test_builder_mismatch_raises_runtime_error():
+    with pytest.raises(RuntimeError, match="does not match at 0"):
+        _EBuilder(5, [1, 2]).contract_e1(0)
+    with pytest.raises(RuntimeError, match="cannot commute E1 past E2"):
+        _EBuilder(5, [1, 2]).swap(0)
+
+
+def _drop_last_rl2_step(monkeypatch):
+    build = etranslate._tmpl_RL2
+    monkeypatch.setattr(etranslate, "_tmpl_RL2",
+                        lambda n, i, j: build(n, i, j)[:-1])
+
+
+@pytest.fixture
+def fresh_templates():
+    xi_template.cache_clear()
+    yield
+    xi_template.cache_clear()
+
+
+def test_broken_template_is_caught(monkeypatch, fresh_templates):
+    _drop_last_rl2_step(monkeypatch)
+    # the lifted certificate of E2 E2 is RL2(2,2) then L1(2)
+    with pytest.raises(RuntimeError, match=r"broken template RL2\(2,2\)"):
+        normal_form_E(W(5, "E2 E2"))
+
+
+def test_broken_template_is_caught_under_optimize():
+    script = textwrap.dedent("""
+        import sys
+        from tlmonoid import check_derivation, normal_form_E, word_from_text
+        from tlmonoid import etranslate, xi_template
+
+        if __debug__:
+            sys.exit("not running under -O")
+        w = word_from_text(12, "E3 E7 E4 E11 E3 E2 E8 E8 E1 E5")
+        _, canonical, d = normal_form_E(w)
+        end = check_derivation(d, "Xi")
+        if end != canonical:
+            sys.exit("certificate does not end on the canonical word")
+
+        build = etranslate._tmpl_RL2
+        etranslate._tmpl_RL2 = lambda n, i, j: build(n, i, j)[:-1]
+        xi_template.cache_clear()
+        try:
+            normal_form_E(word_from_text(5, "E2 E2"))
+        except RuntimeError as exc:
+            print(exc)
+        else:
+            sys.exit("broken template accepted")
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "broken template RL2(2,2)"

@@ -20,6 +20,8 @@ from tlmonoid import (
     normal_form_E,
 )
 
+from oracles import replay_translate
+
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           max_examples=150, database=None)
 DETERMINISTIC = settings.get_profile("deterministic")
@@ -59,6 +61,22 @@ def test_certificate_text_round_trips(w):
     back = derivation_from_text(derivation_to_text(d), d.start_word())
     # the note (hook expansion) is not part of the text format
     assert back == dataclasses.replace(d, note="")
+
+
+@st.composite
+def e_words(draw):
+    n = draw(st.integers(3, 15))
+    indices = draw(st.lists(st.integers(1, n - 1), max_size=25))
+    return Word(n, tuple(letter("E", i) for i in indices))
+
+
+@DETERMINISTIC
+@given(e_words())
+def test_xi_certificate_matches_whole_word_replay(w):
+    _, canonical, d = normal_form_E(w)
+    steps, end = replay_translate(w)
+    assert d.steps == tuple(steps)
+    assert tuple(c.index for c in canonical.letters) == end
 
 
 CORRUPTIONS = {
