@@ -69,6 +69,7 @@ from .relations import (
     Step,
     TwistedRelation,
     apply_step,
+    mirror_steps,
     relation_by_id,
     relation_index,
     relation_set,

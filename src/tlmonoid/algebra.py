@@ -227,7 +227,7 @@ _ELEMENT_HEADER = re.compile(r"^delta=([^;]+);\s*n=(\d+);$")
 
 
 def element_from_text(text: str) -> tuple[AlgebraElement, Fraction]:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.strip().splitlines()) if ln]
     if not lines:
         raise ValueError("empty element text")
     m = _ELEMENT_HEADER.match(lines[0])

@@ -12,8 +12,9 @@ templates at offsets.  The key ingredients:
     reverse chain);
   * far-apart letters commute, so whole segments can be walked across each
     other with E2 swaps;
-  * the rho relations are the mirror images of the lambda relations, so
-    their templates are obtained by reflecting positions.
+  * the rho relations are the dagger images of the lambda relations, so
+    their templates are the lambda templates reflected by
+    `relations.mirror_steps`.
 
 Templates are relative to position 0 and are cached per (degree, relation).
 Because hat is a monoid homomorphism, a template checked on hat(lhs) is
@@ -26,26 +27,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import AlphabetError
-from .relations import Step, relation_by_id, reverse_steps
+from .relations import (
+    Step,
+    _dagger,
+    mirror_steps,
+    relation_by_id,
+    relation_index,
+    reverse_steps,
+)
 from .words import Letter, Word, hooks_to_pairs, letter
 
 __all__ = ["xi_template", "e_certificate"]
-
-
-@lru_cache(maxsize=None)
-def _e_sides(rid: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    name, _, rest = rid.partition("(")
-    args = tuple(int(a) for a in rest.rstrip(")").split(","))
-    if name == "E1":
-        (i,) = args
-        return (i, i), (i,)
-    if name == "E2":
-        i, j = args
-        return (i, j), (j, i)
-    if name == "E3":
-        i, j = args
-        return (i, j, i), (i,)
-    raise ValueError(f"not an E relation id: {rid!r}")
 
 
 class _EBuilder:
@@ -114,8 +106,14 @@ class _EBuilder:
             self.wh_expand(pos + 1)
 
     def run(self, steps, offset=0):
+        xi = relation_index(self.n, "Xi")
         for st in steps:
-            lhs, rhs = _e_sides(st.rid)
+            rel = xi.get(st.rid)
+            if rel is None:
+                raise RuntimeError(
+                    f"{st.rid} is not an E relation at n={self.n}")
+            lhs = tuple(c.index for c in rel.lhs)
+            rhs = tuple(c.index for c in rel.rhs)
             src, dst = (lhs, rhs) if st.forward else (rhs, lhs)
             self._emit(st.pos + offset, st.rid, st.forward, src, dst)
 
@@ -129,35 +127,6 @@ def _hat_indices(n: int, letters) -> list[int]:
             out.extend(range(n - 1, c.index - 1, -1))
         else:
             raise AlphabetError(f"no hat image for {c}")
-    return out
-
-
-def _mirror_rid(rid: str) -> str:
-    lhs, _ = _e_sides(rid)
-    name = rid.partition("(")[0]
-    if name == "E2":
-        i, j = lhs
-        return f"E2({j},{i})"
-    return rid
-
-
-def _mirror(start_idxs, steps):
-    """Reflect a template so it acts on reversed words.
-
-    Replays the original steps to know the word length at each point; a
-    match of length m at position p reflects to position len - p - m.  E1
-    and E3 instances are palindromes, E2 swaps its parameters.
-    """
-    word = list(start_idxs)
-    out = []
-    for st in steps:
-        lhs, rhs = _e_sides(st.rid)
-        src, dst = (lhs, rhs) if st.forward else (rhs, lhs)
-        out.append(Step(len(word) - st.pos - len(src), _mirror_rid(st.rid),
-                        st.forward))
-        if st.pos < 0 or tuple(word[st.pos:st.pos + len(src)]) != src:
-            raise RuntimeError(f"{st.rid} does not match at {st.pos}")
-        word[st.pos:st.pos + len(src)] = dst
     return out
 
 
@@ -242,8 +211,7 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
     side; the surrounding word is never touched.
     """
     rel = relation_by_id(n, rid)      # validates the id and its parameters
-    name, _, rest = rid.partition("(")
-    args = tuple(int(a) for a in rest.rstrip(")").split(",")) if rest else ()
+    name, args = rel.name, rel.args
     if name == "A":
         steps = []
     elif name == "L1":
@@ -259,9 +227,11 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
     elif name == "RL3":
         steps = _tmpl_RL3(n, *args)
     elif name in ("R1", "R2", "R3"):
-        mate = "L" + name[1:] + (f"({','.join(map(str, args))})" if args else "")
-        lhs_idxs = _hat_indices(n, relation_by_id(n, mate).lhs)
-        steps = _mirror(lhs_idxs, xi_template(n, mate))
+        # hat(dagger(w)) is hat(w) reversed, so the template of R1..R3 is
+        # the mirror of the template of the L relation it is the dagger of
+        mate = _dagger(rel)
+        steps = mirror_steps(n, len(_hat_indices(n, mate.lhs)),
+                             xi_template(n, mate.rid))
     else:
         raise ValueError(f"no hook-alphabet template for relation {rid!r}")
     # the proof every placement of this template rests on

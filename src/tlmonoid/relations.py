@@ -14,7 +14,10 @@ Family Omega lives on L u R and splits into
     A:        L_{n-1}                = R_{n-1}
 
 (the alias A carries the identification of the two top-index generators,
-so every step names a single unambiguous replacement).  Family Xi lives on
+so every step names a single unambiguous replacement).  R1-R3 are the
+dagger images of L1-L3: each side reversed, with L_i and R_i exchanged;
+they are built that way, and `mirror_steps` reflects whole derivations by
+the same rule.  Family Xi lives on
 the hook alphabet:
 
     E1(i):    E_i E_i     = E_i
@@ -43,6 +46,7 @@ __all__ = [
     "relation_set",
     "relation_index",
     "relation_by_id",
+    "mirror_steps",
     "apply_step",
     "step_to_text",
     "step_from_text",
@@ -55,9 +59,13 @@ FAMILIES = ("OmegaL", "OmegaR", "Omega", "Xi")
 
 @dataclass(frozen=True)
 class Relation:
+    """A relation instance: its id, its sides, and the id's name and args."""
+
     rid: str
     lhs: tuple[Letter, ...]
     rhs: tuple[Letter, ...]
+    name: str
+    args: tuple[int, ...]
 
     def __str__(self) -> str:
         lhs = " ".join(map(str, self.lhs)) or "1"
@@ -94,83 +102,137 @@ def _E(i):
     return letter("E", i)
 
 
-def _need(cond: bool, rid: str, why: str) -> None:
+def _rid(name, args):
+    return f"{name}({','.join(map(str, args))})" if args else name
+
+
+def _rel(name, args, lhs, rhs):
+    return Relation(_rid(name, args), lhs, rhs, name, args)
+
+
+def _need(cond: bool, why: str) -> None:
+    # relation_by_id puts the relation id in front of the message
     if not cond:
-        raise ValueError(f"{rid}: {why}")
+        raise ValueError(why)
 
 
 # -- single-instance constructors; shared by family builders and id lookup ----
 
 def _rel_L1(n, i):
-    _need(1 <= i <= n - 1, f"L1({i})", f"index outside [1,{n - 1}]")
-    return Relation(f"L1({i})", (_L(i), _L(n - 1)), (_L(i),))
+    _need(1 <= i <= n - 1, f"index outside [1,{n - 1}]")
+    return _rel("L1", (i,), (_L(i), _L(n - 1)), (_L(i),))
 
 
 def _rel_L2(n, i, j):
-    _need(1 <= i <= j <= n - 3, f"L2({i},{j})", "requires 1 <= i <= j <= n-3")
-    return Relation(f"L2({i},{j})", (_L(i), _L(j)), (_L(j + 2), _L(i)))
+    _need(1 <= i <= j <= n - 3, "requires 1 <= i <= j <= n-3")
+    return _rel("L2", (i, j), (_L(i), _L(j)), (_L(j + 2), _L(i)))
 
 
 def _rel_L3(n, i):
     k = n - 2 * i + 1
-    _need(i >= 1 and k - 1 >= 1, f"L3({i})", "requires 1 <= i <= (n-1)/2")
-    return Relation(f"L3({i})", (_L(k),) * i + (_L(k - 1),), (_L(k),) * i)
-
-
-def _rel_R1(n, i):
-    _need(1 <= i <= n - 1, f"R1({i})", f"index outside [1,{n - 1}]")
-    return Relation(f"R1({i})", (_R(n - 1), _R(i)), (_R(i),))
-
-
-def _rel_R2(n, i, j):
-    _need(1 <= i <= j <= n - 3, f"R2({i},{j})", "requires 1 <= i <= j <= n-3")
-    return Relation(f"R2({i},{j})", (_R(j), _R(i)), (_R(i), _R(j + 2)))
-
-
-def _rel_R3(n, i):
-    k = n - 2 * i + 1
-    _need(i >= 1 and k - 1 >= 1, f"R3({i})", "requires 1 <= i <= (n-1)/2")
-    return Relation(f"R3({i})", (_R(k - 1),) + (_R(k),) * i, (_R(k),) * i)
+    _need(i >= 1 and k - 1 >= 1, "requires 1 <= i <= (n-1)/2")
+    return _rel("L3", (i,), (_L(k),) * i + (_L(k - 1),), (_L(k),) * i)
 
 
 def _rel_RL1(n, i, j):
-    _need(1 <= j <= i - 2 and i <= n - 1, f"RL1({i},{j})", "requires j <= i-2")
-    return Relation(f"RL1({i},{j})", (_R(i), _L(j)),
-                    (_L(n - 1), _L(j), _R(i - 2)))
+    _need(1 <= j <= i - 2 and i <= n - 1, "requires j <= i-2")
+    return _rel("RL1", (i, j), (_R(i), _L(j)), (_L(n - 1), _L(j), _R(i - 2)))
 
 
 def _rel_RL2(n, i, j):
     _need(1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) <= 1,
-          f"RL2({i},{j})", "requires |i-j| <= 1")
-    return Relation(f"RL2({i},{j})", (_R(i), _L(j)), (_L(n - 1),))
+          "requires |i-j| <= 1")
+    return _rel("RL2", (i, j), (_R(i), _L(j)), (_L(n - 1),))
 
 
 def _rel_RL3(n, i, j):
-    _need(1 <= i and i + 2 <= j <= n - 1, f"RL3({i},{j})", "requires j >= i+2")
-    return Relation(f"RL3({i},{j})", (_R(i), _L(j)),
-                    (_L(n - 1), _L(j - 2), _R(i)))
+    _need(1 <= i and i + 2 <= j <= n - 1, "requires j >= i+2")
+    return _rel("RL3", (i, j), (_R(i), _L(j)), (_L(n - 1), _L(j - 2), _R(i)))
 
 
 def _rel_A(n):
-    return Relation("A", (_L(n - 1),), (_R(n - 1),))
+    return _rel("A", (), (_L(n - 1),), (_R(n - 1),))
 
 
 def _rel_E1(n, i):
-    _need(1 <= i <= n - 1, f"E1({i})", f"index outside [1,{n - 1}]")
-    return Relation(f"E1({i})", (_E(i), _E(i)), (_E(i),))
+    _need(1 <= i <= n - 1, f"index outside [1,{n - 1}]")
+    return _rel("E1", (i,), (_E(i), _E(i)), (_E(i),))
 
 
 def _rel_E2(n, i, j):
     _need(1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) > 1,
-          f"E2({i},{j})", "requires |i-j| > 1")
-    return Relation(f"E2({i},{j})", (_E(i), _E(j)), (_E(j), _E(i)))
+          "requires |i-j| > 1")
+    return _rel("E2", (i, j), (_E(i), _E(j)), (_E(j), _E(i)))
 
 
 def _rel_E3(n, i, j):
     _need(1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) == 1,
-          f"E3({i},{j})", "requires |i-j| = 1")
-    return Relation(f"E3({i},{j})", (_E(i), _E(j), _E(i)), (_E(i),))
+          "requires |i-j| = 1")
+    return _rel("E3", (i, j), (_E(i), _E(j), _E(i)), (_E(i),))
 
+
+# -- the mirror rule -------------------------------------------------------------
+# Dagger reverses a word and swaps L_i <-> R_i; E_i is its own image.  It
+# carries L1/L2/L3 onto R1/R2/R3 with the same parameters, E2(i,j) onto
+# E2(j,i), and E1, E3 onto themselves.  RL1..RL3 and A have no image among
+# the relations.
+
+_DAGGER_NAME = {"L1": "R1", "L2": "R2", "L3": "R3",
+                "R1": "L1", "R2": "L2", "R3": "L3",
+                "E1": "E1", "E2": "E2", "E3": "E3"}
+_DAGGER_ALPHABET = {"L": "R", "R": "L", "E": "E"}
+
+
+def _dagger_letters(letters):
+    return tuple(letter(_DAGGER_ALPHABET[c.alphabet], c.index)
+                 for c in reversed(letters))
+
+
+def _dagger_id(rel: Relation) -> tuple[str, tuple[int, ...], str]:
+    """(name, args, rid) of the dagger image of `rel`."""
+    name = _DAGGER_NAME.get(rel.name)
+    if name is None:
+        raise ValueError(f"{rel.rid} has no mirror image among the relations")
+    if name == "E2":
+        args = rel.args[::-1]
+        return name, args, _rid(name, args)
+    # the parameters stay, so only the name part of the id changes
+    return name, rel.args, name + rel.rid[len(rel.name):]
+
+
+def _dagger(rel: Relation) -> Relation:
+    """The relation whose sides are the dagger images of `rel`'s sides."""
+    name, args, rid = _dagger_id(rel)
+    return Relation(rid, _dagger_letters(rel.lhs), _dagger_letters(rel.rhs),
+                    name, args)
+
+
+def _mirrored(ctor):
+    return lambda n, *args: _dagger(ctor(n, *args))
+
+
+def mirror_steps(n: int, length: int, steps) -> list[Step]:
+    """Reflect a derivation on a word of `length` letters onto the reversed word.
+
+    A step matching m letters at position p becomes the dagger image of its
+    relation matching at `length - p - m`; the running length follows the
+    relation's side lengths, so the word itself is never replayed.  Raises
+    ValueError for a relation without a mirror image (RL1..RL3, A).
+    Reflecting twice returns the input.  Reflecting with `length + d`
+    instead of `length` places the image d letters further right.
+    """
+    out = []
+    for s in steps:
+        rel = relation_by_id(n, s.rid)
+        src, dst = len(rel.lhs), len(rel.rhs)
+        if not s.forward:
+            src, dst = dst, src
+        out.append(Step(length - s.pos - src, _dagger_id(rel)[2], s.forward))
+        length += dst - src
+    return out
+
+
+# -- families --------------------------------------------------------------------
 
 def _omega_L(n):
     rels = [_rel_L1(n, i) for i in range(1, n)]
@@ -181,11 +243,7 @@ def _omega_L(n):
 
 
 def _omega_R(n):
-    rels = [_rel_R1(n, i) for i in range(1, n)]
-    rels += [_rel_R2(n, i, j)
-             for j in range(1, n - 2) for i in range(1, j + 1)]
-    rels += [_rel_R3(n, i) for i in range(1, (n - 1) // 2 + 1)]
-    return rels
+    return [_dagger(rel) for rel in _omega_L(n)]
 
 
 def _omega_RL(n):
@@ -236,10 +294,11 @@ _RID_RE = re.compile(r"^([A-Z]+[0-9]*)(?:\((\d+)(?:,(\d+))?\))?$")
 
 _CONSTRUCTORS = {
     ("L1", 1): _rel_L1, ("L2", 2): _rel_L2, ("L3", 1): _rel_L3,
-    ("R1", 1): _rel_R1, ("R2", 2): _rel_R2, ("R3", 1): _rel_R3,
+    ("R1", 1): _mirrored(_rel_L1), ("R2", 2): _mirrored(_rel_L2),
+    ("R3", 1): _mirrored(_rel_L3),
     ("RL1", 2): _rel_RL1, ("RL2", 2): _rel_RL2, ("RL3", 2): _rel_RL3,
     ("E1", 1): _rel_E1, ("E2", 2): _rel_E2, ("E3", 2): _rel_E3,
-    ("A", 0): lambda n: _rel_A(n),
+    ("A", 0): _rel_A,
 }
 
 
@@ -252,11 +311,14 @@ def relation_by_id(n: int, rid: str) -> Relation:
     if not m:
         raise ValueError(f"malformed relation id {rid!r}")
     name = m.group(1)
-    args = [int(g) for g in m.groups()[1:] if g is not None]
+    args = tuple(int(g) for g in m.groups()[1:] if g is not None)
     ctor = _CONSTRUCTORS.get((name, len(args)))
     if ctor is None:
         raise ValueError(f"unknown relation id {rid!r}")
-    return ctor(n, *args)
+    try:
+        return ctor(n, *args)
+    except ValueError as exc:
+        raise ValueError(f"{_rid(name, args)}: {exc}") from None
 
 
 def apply_step(w: Word, s: Step) -> Word:

@@ -5,9 +5,10 @@ unique balanced word L_{x_1}..L_{x_k} R_{y_k}..R_{y_1} where x and y are the
 upper and lower arc tuples of the diagram the word evaluates to.  The
 pipeline that finds it is:
 
-  1. one-sided folding: a pure lambda (or rho) word is folded letter by
-     letter into tuple form, absorbing letters with large index and
-     inserting the rest through chains of L2/R2 moves;
+  1. one-sided folding: a pure lambda word is folded letter by letter
+     into tuple form, absorbing letters with large index and inserting
+     the rest through chains of L2 moves; a rho word is folded as the
+     mirror of the L fold of its dagger image (`relations.mirror_steps`);
   2. separation: a mixed word is swept left to right, pushing each lambda
      letter through the rho suffix with the RL rules, the residue never
      growing longer;
@@ -39,6 +40,7 @@ from .errors import (
 )
 from .relations import (
     Step,
+    mirror_steps,
     relation_index,
     reverse_steps,
     step_from_text,
@@ -107,10 +109,12 @@ def _off(steps, d):
     return [Step(s.pos + d, s.rid, s.forward) for s in steps]
 
 
-# -- one-sided folding over L -------------------------------------------------
+# -- one-sided folding -----------------------------------------------------------
 # The lambda block occupies positions 0..k-1 of the ambient word and the
 # letter being folded sits at position k; emitted steps use those absolute
-# positions and never touch the context beyond the letter.
+# positions and never touch the context beyond the letter.  A rho word is
+# folded as the mirror image under dagger: `_refold_R` folds its reversed
+# indices as a lambda word and reflects the steps.
 
 def _absorb_L(n, x, j, out):
     # L_x L_j ~ L_x for j >= n-2k; x is left unchanged
@@ -154,7 +158,10 @@ def _fold_L(n, x, j, out, memo):
     `memo` maps (x, j) to (y, steps) for the folds already made by the
     calling derivation.  The block starts at position 0, so the steps are
     absolute and are appended to `out` as they are, on a hit as on a miss.
+    A letter that simply extends the block needs no steps and no lookup.
     """
+    if not x or (x[-1] > j and j < n - 2 * len(x)):
+        return x + (j,)
     hit = memo.get((x, j))
     if hit is None:
         steps: list[Step] = []
@@ -168,54 +175,20 @@ def _fold_L(n, x, j, out, memo):
     return hit[0]
 
 
-# -- one-sided folding over R -------------------------------------------------
-# Mirror image: rho words fold right to left; the reduced block is the
-# suffix starting at base+1 and the letter being folded sits at `base`.
+def _refold_R(n, idxs, out, offset, memo):
+    """Fold the rho word R_idxs, which starts at `offset`; returns its indices.
 
-def _absorb_R(n, x, j, base, out):
-    k = len(x)
-    if j == n - 1:
-        out.append(Step(base, f"R1({x[-1]})", True))
-    elif j == n - 2:
-        if x[-1] == n - 1:
-            out.append(Step(base, "R3(1)", True))
-        else:
-            out.append(Step(base + 1, f"R1({x[-1]})", False))
-            out.append(Step(base, "R3(1)", True))
-            out.append(Step(base, f"R1({x[-1]})", True))
-    elif j >= n - 2 * k + 1:
-        out.append(Step(base, f"R2({x[-1]},{j})", True))
-        _absorb_R(n, x[:-1], j + 2, base + 1, out)
-    else:
-        tmpl: list[Step] = []
-        _absorb_R(n, x, n - 2 * k + 1, 0, tmpl)
-        for t in range(1, k + 1):
-            out.extend(reverse_steps(_off(tmpl, base + t)))
-        out.append(Step(base, f"R3({k})", True))
-        for t in range(k - 1, -1, -1):
-            out.extend(_off(tmpl, base + t))
-
-
-def _insert_R(n, x, j, base, out):
-    k = len(x)
-    if k == 0 or x[-1] > j:
-        return x + [j]
-    out.append(Step(base, f"R2({x[-1]},{j})", True))
-    y = _insert_R(n, x[:-1], j + 2, base + 1, out)
-    y.append(x[-1])
-    return y
-
-
-def _reduce_R(n, idxs, out, offset=0):
-    x: list[int] = []
-    for p in range(len(idxs) - 1, -1, -1):
-        j = idxs[p]
-        base = offset + p
-        if x and j >= n - 2 * len(x):
-            _absorb_R(n, x, j, base, out)
-        else:
-            x = _insert_R(n, x, j, base, out)
-    return x
+    The R fold is the mirror of the L fold: the dagger image of R_idxs is
+    the lambda word over reversed(idxs), which `_fold_L` folds with the
+    derivation's fold memo, and `mirror_steps` reflects those steps back.
+    Reflecting over `offset + len(idxs)` letters shifts them to the block.
+    """
+    steps: list[Step] = []
+    y: tuple[int, ...] = ()
+    for j in reversed(idxs):
+        y = _fold_L(n, y, j, steps, memo)
+    out.extend(mirror_steps(n, offset + len(idxs), steps))
+    return y[::-1]
 
 
 # -- pushing a lambda letter through a rho word --------------------------------
@@ -291,20 +264,14 @@ def _check_degree(n):
         raise DegreeTooSmall(f"rewriting needs degree >= 3, got {n}")
 
 
-def _refold_R(n, idxs, out, offset):
-    z = _reduce_R(n, idxs, out, offset)
-    return tuple(z[::-1])   # the reduced word's letters, in ascending order
-
-
-def _separate_fold(n, letters, out):
+def _separate_fold(n, letters, out, fold_memo):
     """Sweep the word; keep the lambda tuple and the reduced rho suffix."""
     x: tuple[int, ...] = ()
     v: tuple[int, ...] = ()
     push_memo: dict = {}
-    fold_memo: dict = {}
     for c in letters:
         if c.alphabet == "R":
-            v = _refold_R(n, v + (c.index,), out, len(x))
+            v = _refold_R(n, v + (c.index,), out, len(x), fold_memo)
         else:
             lam, resid, ps = _push(n, v, c.index, push_memo)
             out.extend(_off(ps, len(x)))
@@ -313,22 +280,24 @@ def _separate_fold(n, letters, out):
             if resid == v[:len(resid)]:
                 v = resid   # untouched prefix of a reduced word stays reduced
             else:
-                v = _refold_R(n, resid, out, len(x))
+                v = _refold_R(n, resid, out, len(x), fold_memo)
     return x, v
 
 
-def _balance(n, x, v, out):
+def _balance(n, x, v, out, fold_memo):
+    # each padding step lengthens the shorter side by one letter; that the
+    # tuples end equal is checked against the diagram by the fuzz and
+    # property tests
     k, l = len(x), len(v)
     if k > l:
         for _ in range(k - l):
             out.extend(_lrlr_lambda(n, x))
-            v = _refold_R(n, (n - 2 * k + 1,) + v, out, k)
+            v = _refold_R(n, (n - 2 * k + 1,) + v, out, k, fold_memo)
     elif l > k:
         z = v[::-1]
         for _ in range(l - k):
             out.extend(_off(_lrlr_rho(n, z), len(x)))
-            x = _fold_L(n, x, n - 2 * l + 1, out, {})
-    assert len(x) == len(v), "padding failed to balance the tuples"
+            x = _fold_L(n, x, n - 2 * l + 1, out, fold_memo)
     return x, v
 
 
@@ -359,12 +328,12 @@ def reduce_one_sided(w: Word) -> tuple[TnTuple, Derivation]:
         for c in w.letters:
             x = _fold_L(w.n, x, c.index, steps, memo)
         end = tuple(letter("L", i) for i in x)
-        tup = check_tuple(w.n, x)
     else:
-        z = _reduce_R(w.n, [c.index for c in w.letters], steps)
-        end = tuple(letter("R", i) for i in reversed(z))
-        tup = check_tuple(w.n, z)
-    return tup, Derivation(w.n, "Omega", w.letters, tuple(steps), end)
+        v = _refold_R(w.n, [c.index for c in w.letters], steps, 0, {})
+        end = tuple(letter("R", i) for i in v)
+        x = v[::-1]
+    return (check_tuple(w.n, x),
+            Derivation(w.n, "Omega", w.letters, tuple(steps), end))
 
 
 def push_lambda(p: Word, j: int) -> tuple[Word, Word, Derivation]:
@@ -397,7 +366,7 @@ def separate(w: Word) -> tuple[Word, Word, Derivation]:
     _check_degree(w.n)
     _only(w.letters, {"L", "R"}, "separate")
     steps: list[Step] = []
-    x, v = _separate_fold(w.n, w.letters, steps)
+    x, v = _separate_fold(w.n, w.letters, steps, {})
     u_letters = tuple(letter("L", i) for i in x)
     v_letters = tuple(letter("R", i) for i in v)
     return (Word(w.n, u_letters), Word(w.n, v_letters),
@@ -418,8 +387,9 @@ def normal_form(w: Word) -> tuple[NormalForm, Derivation]:
         letters = hooks_to_pairs(w).letters
         note = "hook letters were expanded as E_i -> L_i R_i"
     steps: list[Step] = []
-    x, v = _separate_fold(w.n, letters, steps)
-    x, v = _balance(w.n, x, v, steps)
+    memo: dict = {}
+    x, v = _separate_fold(w.n, letters, steps, memo)
+    x, v = _balance(w.n, x, v, steps, memo)
     end = _nf_letters(w.n, x, v)
     nf = NormalForm(check_tuple(w.n, x), check_tuple(w.n, v[::-1]),
                     Word(w.n, end))
@@ -516,7 +486,7 @@ _DERIVATION_HEADER = re.compile(r"^n=(\d+);\s*family=(\w+)$")
 
 
 def derivation_from_text(text: str, start: Word) -> Derivation:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.strip().splitlines()) if ln]
     if not lines:
         raise ValueError("empty derivation text")
     head = lines[0]

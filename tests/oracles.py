@@ -13,6 +13,14 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def dagger_letters(letters):
+    """The dagger image of a word: reversed, with L_i and R_i exchanged."""
+    from tlmonoid import letter
+
+    swap = {"L": "R", "R": "L", "E": "E"}
+    return tuple(letter(swap[c.alphabet], c.index) for c in reversed(letters))
+
+
 def pos(v: int, n: int) -> int:
     return v if v > 0 else 2 * n + 1 + v
 

@@ -11,16 +11,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tlmonoid import (
+    Derivation,
     Word,
+    boundary_tuples,
     check_derivation,
     derivation_from_text,
     derivation_to_text,
+    evaluate,
     letter,
+    mirror_steps,
     normal_form,
     normal_form_E,
+    reduce_one_sided,
 )
 
-from oracles import replay_translate
+from oracles import dagger_letters, replay_translate
 
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           max_examples=150, database=None)
@@ -77,6 +82,41 @@ def test_xi_certificate_matches_whole_word_replay(w):
     steps, end = replay_translate(w)
     assert d.steps == tuple(steps)
     assert tuple(c.index for c in canonical.letters) == end
+
+
+@DETERMINISTIC
+@given(words())
+def test_normal_form_is_the_balanced_pair_of_the_diagram(w):
+    nf, _ = normal_form(w)
+    assert (nf.x, nf.y) == boundary_tuples(evaluate(w)[0])
+
+
+@st.composite
+def l_words(draw):
+    n = draw(st.integers(3, 15))
+    indices = draw(st.lists(st.integers(1, n - 1), max_size=30))
+    return Word(n, tuple(letter("L", i) for i in indices))
+
+
+@DETERMINISTIC
+@given(l_words())
+def test_mirrored_l_fold_replays_from_the_dagger_word(w):
+    x, d = reduce_one_sided(w)
+    image = Derivation(w.n, "Omega", dagger_letters(d.start),
+                       tuple(mirror_steps(w.n, len(d.start), d.steps)),
+                       dagger_letters(d.end))
+    assert check_derivation(image).letters == dagger_letters(d.end)
+    assert reduce_one_sided(image.start_word())[0] == x
+
+
+@DETERMINISTIC
+@given(e_words())
+def test_mirrored_xi_certificate_replays_from_the_reversed_word(w):
+    _, canonical, d = normal_form_E(w)
+    image = Derivation(w.n, "Xi", d.start[::-1],
+                       tuple(mirror_steps(w.n, len(d.start), d.steps)),
+                       d.end[::-1])
+    assert check_derivation(image).letters == canonical.letters[::-1]
 
 
 CORRUPTIONS = {

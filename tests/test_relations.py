@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,10 @@ from tlmonoid import (
     ZeroDelta,
     apply_step,
     evaluate,
+    letter,
+    mirror_steps,
+    normal_form_E,
+    reduce_one_sided,
     relation_by_id,
     relation_index,
     relation_set,
@@ -18,6 +23,8 @@ from tlmonoid import (
     twist_relations,
     word_from_text,
 )
+
+from oracles import dagger_letters
 
 
 def rids(n, which):
@@ -142,3 +149,93 @@ def test_twist_weights_only_e1():
 def test_twist_rejects_zero_delta():
     with pytest.raises(ZeroDelta):
         twist_relations(5, 0)
+
+
+# -- the mirror rule -----------------------------------------------------------
+
+def test_r_relations_are_the_paper_formulas():
+    def R(i):
+        return letter("R", i)
+
+    for n in range(3, 13):
+        idx = relation_index(n, "OmegaR")
+        for i in range(1, n):
+            rel = idx[f"R1({i})"]
+            assert (rel.lhs, rel.rhs) == ((R(n - 1), R(i)), (R(i),))
+        for j in range(1, n - 2):
+            for i in range(1, j + 1):
+                rel = idx[f"R2({i},{j})"]
+                assert (rel.lhs, rel.rhs) == ((R(j), R(i)), (R(i), R(j + 2)))
+        for i in range(1, (n - 1) // 2 + 1):
+            k = n - 2 * i + 1
+            rel = idx[f"R3({i})"]
+            assert rel.lhs == (R(k - 1),) + (R(k),) * i
+            assert rel.rhs == (R(k),) * i
+        assert len(idx) == len(relation_set(n, "OmegaL"))
+
+
+def test_relation_name_and_args_match_the_id():
+    for n in (3, 8):
+        for rel in relation_set(n, "Omega") + relation_set(n, "Xi"):
+            assert relation_by_id(n, rel.rid) == rel
+            args = ",".join(map(str, rel.args))
+            assert rel.rid == (f"{rel.name}({args})" if rel.args else rel.name)
+
+
+def test_bad_r_id_names_the_r_id():
+    for rid in ("R1(9)", "R2(3,2)", "R3(4)"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(rid)}: "):
+            relation_by_id(7, rid)
+
+
+def test_mirror_maps_each_relation_to_its_dagger_image():
+    for n in range(3, 13):
+        for family, image_family in (("OmegaL", "OmegaR"), ("Xi", "Xi")):
+            image = relation_index(n, image_family)
+            hit = set()
+            for rel in relation_set(n, family):
+                for forward in (True, False):
+                    src = rel.lhs if forward else rel.rhs
+                    (s,) = mirror_steps(n, len(src), [Step(0, rel.rid, forward)])
+                    assert (s.pos, s.forward) == (0, forward)
+                    m = image[s.rid]
+                    assert m.lhs == dagger_letters(rel.lhs), rel.rid
+                    assert m.rhs == dagger_letters(rel.rhs), rel.rid
+                    hit.add(s.rid)
+            assert hit == set(image)
+
+
+def test_mirror_reflects_positions_and_tracks_length():
+    # L1 L2 L4 -> L1 L2 -> L4 L1 at n=5; the mirror acts on R4 R2 R1
+    steps = [Step(1, "L1(2)", True), Step(0, "L2(1,2)", True)]
+    image = mirror_steps(5, 3, steps)
+    assert image == [Step(0, "R1(2)", True), Step(0, "R2(1,2)", True)]
+    w, v = word_from_text(5, "L1 L2 L4"), word_from_text(5, "R4 R2 R1")
+    for s, m in zip(steps, image):
+        w, v = apply_step(w, s), apply_step(v, m)
+    assert v.letters == dagger_letters(w.letters)
+    # a bigger length moves the image right by the difference
+    assert mirror_steps(5, 7, steps) == [Step(4, "R1(2)", True),
+                                        Step(4, "R2(1,2)", True)]
+    with pytest.raises(ValueError, match="RL2"):
+        mirror_steps(5, 2, [Step(0, "RL2(2,2)", True)])
+    with pytest.raises(ValueError, match="A"):
+        mirror_steps(5, 1, [Step(0, "A", True)])
+
+
+def test_mirror_twice_is_the_identity():
+    import random
+
+    rng = random.Random(5)
+    for n in range(3, 13):
+        for _ in range(6):
+            alphabet = rng.choice("LRE")
+            w = Word(n, tuple(letter(alphabet, rng.randrange(1, n))
+                              for _ in range(rng.randrange(0, 16))))
+            if alphabet == "E":
+                _, _, d = normal_form_E(w)
+            else:
+                _, d = reduce_one_sided(w)
+            length = len(d.start)
+            once = mirror_steps(n, length, d.steps)
+            assert mirror_steps(n, length, once) == list(d.steps)

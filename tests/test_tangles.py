@@ -396,6 +396,25 @@ def test_balanced_pairs_biject_onto_tangles():
         assert len(seen) == len(all_tangles(n))
 
 
+def test_profile_rank_has_the_parity_of_n():
+    for n in range(1, 9):
+        for t in all_tangles(n):
+            rank, dom, codom = profile(t)
+            assert rank % 2 == n % 2
+            assert len(dom) == len(codom) == rank
+
+
+def test_build_tangle_has_its_tuples_and_rank():
+    for n in range(1, 9):
+        for k in range(n // 2 + 1):
+            tups = enumerate_tuples(n, k)
+            for x in tups:
+                for y in tups:
+                    t = build_tangle(x, y)
+                    assert boundary_tuples(t) == (x, y)
+                    assert profile(t)[0] == n - 2 * k
+
+
 def test_left_simple_tangle_determined_by_bl():
     # rebuilding from the lambda word alone recovers every member of T_n
     for n in range(3, 9):
