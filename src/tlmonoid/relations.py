@@ -188,23 +188,19 @@ def _dagger_letters(letters):
                  for c in reversed(letters))
 
 
-def _dagger_id(rel: Relation) -> tuple[str, tuple[int, ...], str]:
-    """(name, args, rid) of the dagger image of `rel`."""
+def _dagger_id(rel: Relation) -> tuple[str, tuple[int, ...]]:
+    """(name, args) of the dagger image of `rel`."""
     name = _DAGGER_NAME.get(rel.name)
     if name is None:
         raise ValueError(f"{rel.rid} has no mirror image among the relations")
-    if name == "E2":
-        args = rel.args[::-1]
-        return name, args, _rid(name, args)
-    # the parameters stay, so only the name part of the id changes
-    return name, rel.args, name + rel.rid[len(rel.name):]
+    return name, rel.args[::-1] if name == "E2" else rel.args
 
 
 def _dagger(rel: Relation) -> Relation:
     """The relation whose sides are the dagger images of `rel`'s sides."""
-    name, args, rid = _dagger_id(rel)
-    return Relation(rid, _dagger_letters(rel.lhs), _dagger_letters(rel.rhs),
-                    name, args)
+    name, args = _dagger_id(rel)
+    return Relation(_rid(name, args), _dagger_letters(rel.lhs),
+                    _dagger_letters(rel.rhs), name, args)
 
 
 def _mirrored(ctor):
@@ -227,7 +223,8 @@ def mirror_steps(n: int, length: int, steps) -> list[Step]:
         src, dst = len(rel.lhs), len(rel.rhs)
         if not s.forward:
             src, dst = dst, src
-        out.append(Step(length - s.pos - src, _dagger_id(rel)[2], s.forward))
+        out.append(Step(length - s.pos - src, _rid(*_dagger_id(rel)),
+                        s.forward))
         length += dst - src
     return out
 
@@ -240,10 +237,6 @@ def _omega_L(n):
              for j in range(1, n - 2) for i in range(1, j + 1)]
     rels += [_rel_L3(n, i) for i in range(1, (n - 1) // 2 + 1)]
     return rels
-
-
-def _omega_R(n):
-    return [_dagger(rel) for rel in _omega_L(n)]
 
 
 def _omega_RL(n):
@@ -272,9 +265,11 @@ def _family(n: int, which: str) -> tuple[Relation, ...]:
     if which == "OmegaL":
         return tuple(_omega_L(n))
     if which == "OmegaR":
-        return tuple(_omega_R(n))
+        # R1-R3 are the dagger images of L1-L3, in the same order
+        return tuple(map(_dagger, _family(n, "OmegaL")))
     if which == "Omega":
-        return tuple(_omega_L(n) + _omega_R(n) + _omega_RL(n))
+        return (_family(n, "OmegaL") + _family(n, "OmegaR")
+                + tuple(_omega_RL(n)))
     if which == "Xi":
         return tuple(_xi(n))
     raise ValueError(f"unknown relation family {which!r}; pick from {FAMILIES}")

@@ -158,10 +158,7 @@ def _fold_L(n, x, j, out, memo):
     `memo` maps (x, j) to (y, steps) for the folds already made by the
     calling derivation.  The block starts at position 0, so the steps are
     absolute and are appended to `out` as they are, on a hit as on a miss.
-    A letter that simply extends the block needs no steps and no lookup.
     """
-    if not x or (x[-1] > j and j < n - 2 * len(x)):
-        return x + (j,)
     hit = memo.get((x, j))
     if hit is None:
         steps: list[Step] = []

@@ -24,6 +24,14 @@ def test_counts_match_catalan():
         assert len(enumerate_TL(n)) == c == catalan(n)
 
 
+def test_counts_match_catalan_at_the_largest_degrees():
+    # the uncached enumeration, so the 208012 diagrams of degree 12 are not
+    # kept alive for the rest of the session
+    want = {11: 58786, 12: 208012}
+    for n, c in want.items():
+        assert len(enumerate_TL.__wrapped__(n)) == c == catalan(n)
+
+
 def test_enumeration_bounds():
     with pytest.raises(DegreeTooLarge):
         enumerate_TL(13)
