@@ -34,6 +34,7 @@ from .relations import (
     relation_by_id,
     relation_index,
     reverse_steps,
+    shift_steps,
 )
 from .words import Letter, Word, hooks_to_pairs, letter
 
@@ -267,25 +268,24 @@ def _translate_certificate(w: Word, deriv):
 
     steps = b.steps
     lr = list(deriv.start)
-    placed: dict[tuple[str, bool, int], list[Step]] = {}
-    for st in deriv.steps:
-        rel = relation_by_id(n, st.rid)
-        src, dst = (rel.lhs, rel.rhs) if st.forward else (rel.rhs, rel.lhs)
-        if st.pos < 0 or tuple(lr[st.pos:st.pos + len(src)]) != src:
-            raise RuntimeError(f"{st.rid} does not match the lifted word "
-                               f"at {st.pos}")
-        # |hat(c)| = n - index for both L_index and R_index
-        offset = sum(n - c.index for c in lr[:st.pos])
-        key = (st.rid, st.forward, offset)
+    hl = [n - c.index for c in lr]      # |hat(c)| = n - index, for L and R
+    placed: dict = {}                 # (rid, forward, offset) -> steps
+    for p, rid, fwd in deriv.steps:
+        rel = relation_by_id(n, rid)
+        src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)
+        k = len(src)
+        if p < 0 or tuple(lr[p:p + k]) != src:
+            raise RuntimeError(f"{rid} does not match the lifted word at {p}")
+        offset = sum(hl[:p])
+        key = (rid, fwd, offset)
         block = placed.get(key)
         if block is None:
-            tmpl = xi_template(n, st.rid)
-            if not st.forward:
-                tmpl = reverse_steps(tmpl)
-            block = placed[key] = [Step(s.pos + offset, s.rid, s.forward)
-                                   for s in tmpl]
+            tmpl = xi_template(n, rid)
+            block = placed[key] = shift_steps(
+                tmpl if fwd else reverse_steps(tmpl), offset)
         steps.extend(block)
-        lr[st.pos:st.pos + len(src)] = dst
+        lr[p:p + k] = dst
+        hl[p:p + k] = [n - c.index for c in dst]
 
     end = tuple(letter("E", i) for i in _hat_indices(n, lr))
     return steps, end

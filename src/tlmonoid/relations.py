@@ -35,6 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DegreeTooSmall, NoMatch, ZeroDelta
 from .words import Letter, Word, evaluate, letter
@@ -73,8 +74,7 @@ class Relation:
         return f"{self.rid}: {lhs} = {rhs}"
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """A single relation application at an absolute word position."""
 
     pos: int
@@ -85,9 +85,21 @@ class Step:
         return step_to_text(self)
 
 
+# certificates run to thousands of steps: build each one as a plain tuple,
+# past the keyword-handling constructor
+_new = tuple.__new__
+
+
+def shift_steps(steps, d: int) -> list[Step]:
+    """The steps moved `d` letters to the right; `steps` itself if d is 0."""
+    if not d:
+        return steps
+    return [_new(Step, (p + d, rid, fwd)) for p, rid, fwd in steps]
+
+
 def reverse_steps(steps) -> list[Step]:
     """The inverse chain: the steps in reverse order, each one undone."""
-    return [Step(s.pos, s.rid, not s.forward) for s in reversed(steps)]
+    return [_new(Step, (p, rid, not fwd)) for p, rid, fwd in reversed(steps)]
 
 
 def _L(i):
@@ -218,13 +230,12 @@ def mirror_steps(n: int, length: int, steps) -> list[Step]:
     instead of `length` places the image d letters further right.
     """
     out = []
-    for s in steps:
-        rel = relation_by_id(n, s.rid)
+    for p, rid, fwd in steps:
+        rel = relation_by_id(n, rid)
         src, dst = len(rel.lhs), len(rel.rhs)
-        if not s.forward:
+        if not fwd:
             src, dst = dst, src
-        out.append(Step(length - s.pos - src, _rid(*_dagger_id(rel)),
-                        s.forward))
+        out.append(_new(Step, (length - p - src, _rid(*_dagger_id(rel)), fwd)))
         length += dst - src
     return out
 
@@ -299,7 +310,7 @@ _CONSTRUCTORS = {
 
 @lru_cache(maxsize=None)
 def relation_by_id(n: int, rid: str) -> Relation:
-    """Instantiate a relation from its symbolic id, validating parameters."""
+    """Instantiate a relation from its canonical id, validating parameters."""
     if n < 3:
         raise DegreeTooSmall(f"presentations need n >= 3, got {n}")
     m = _RID_RE.match(rid)
@@ -307,6 +318,8 @@ def relation_by_id(n: int, rid: str) -> Relation:
         raise ValueError(f"malformed relation id {rid!r}")
     name = m.group(1)
     args = tuple(int(g) for g in m.groups()[1:] if g is not None)
+    if _rid(name, args) != rid:
+        raise ValueError(f"non-canonical relation id {rid!r}")
     ctor = _CONSTRUCTORS.get((name, len(args)))
     if ctor is None:
         raise ValueError(f"unknown relation id {rid!r}")
@@ -347,7 +360,7 @@ def step_from_text(text: str) -> Step:
         pos = int(parts[0])
     except ValueError:
         raise ValueError(f"bad step position {parts[0]!r}") from None
-    return Step(pos, parts[1], parts[2] == "fwd")
+    return _new(Step, (pos, parts[1], parts[2] == "fwd"))
 
 
 # -- twisted relations ---------------------------------------------------------

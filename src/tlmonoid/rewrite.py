@@ -43,6 +43,7 @@ from .relations import (
     mirror_steps,
     relation_index,
     reverse_steps,
+    shift_steps,
     step_from_text,
     step_to_text,
 )
@@ -101,12 +102,6 @@ class EqualityResult:
     derivation1: Derivation
     derivation2: Derivation
     witness: tuple[Tangle, Tangle] | None = None
-
-
-def _off(steps, d):
-    if d == 0:
-        return steps
-    return [Step(s.pos + d, s.rid, s.forward) for s in steps]
 
 
 # -- one-sided folding -----------------------------------------------------------
@@ -221,7 +216,7 @@ def _push(n, p, j, memo):
             lam2, q2, s2 = _push(n, q1, j2, memo)
             res = (lam1 + lam2, q2 + (i2,),
                    (Step(len(q), rid, True),) + s1
-                   + tuple(_off(s2, len(lam1))))
+                   + tuple(shift_steps(s2, len(lam1))))
     memo[p, j] = res
     return res
 
@@ -244,7 +239,7 @@ def _lrlr_rho(n, z):
     l = len(z)
     if l == 1:
         return [Step(0, f"R1({z[0]})", False), Step(0, "A", False)]
-    steps = _off(_lrlr_rho(n, z[:-1]), 1)
+    steps = shift_steps(_lrlr_rho(n, z[:-1]), 1)
     steps.append(Step(0, f"RL3({z[-1]},{n - 2 * l + 3})", True))
     steps.append(Step(0, f"L2({n - 2 * l + 1},{n - 3})", False))
     steps.append(Step(0, f"L1({n - 2 * l + 1})", False))
@@ -271,7 +266,7 @@ def _separate_fold(n, letters, out, fold_memo):
             v = _refold_R(n, v + (c.index,), out, len(x), fold_memo)
         else:
             lam, resid, ps = _push(n, v, c.index, push_memo)
-            out.extend(_off(ps, len(x)))
+            out.extend(shift_steps(ps, len(x)))
             for i in lam:
                 x = _fold_L(n, x, i, out, fold_memo)
             if resid == v[:len(resid)]:
@@ -293,7 +288,7 @@ def _balance(n, x, v, out, fold_memo):
     elif l > k:
         z = v[::-1]
         for _ in range(l - k):
-            out.extend(_off(_lrlr_rho(n, z), len(x)))
+            out.extend(shift_steps(_lrlr_rho(n, z), len(x)))
             x = _fold_L(n, x, n - 2 * l + 1, out, fold_memo)
     return x, v
 
@@ -441,25 +436,32 @@ def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:
     Every step must name a relation of the declared family and match the
     word verbatim at its position; the replay must arrive at the recorded
     end word; and, independently, start and end must evaluate to the same
-    diagram.  Returns the end word.
+    diagram.  Returns the end word.  Each distinct relation id is looked up
+    once per call and direction; every step is still matched and applied.
     """
     family = relation_family or d.family
     if family not in ("Omega", "Xi"):
         raise FamilyViolation(f"unknown relation family {family!r}")
     index = relation_index(d.n, family)
+    # rid -> (side matched as a list, its length, side put in its place)
+    fwd_sides, bwd_sides = {}, {}
     word = list(d.start)
-    for i, st in enumerate(d.steps):
-        rel = index.get(st.rid)
-        if rel is None:
-            raise FamilyViolation(
-                f"step {i} uses {st.rid}, not a {family} relation at n={d.n}")
-        src, dst = (rel.lhs, rel.rhs) if st.forward else (rel.rhs, rel.lhs)
-        p = st.pos
-        if p < 0 or tuple(word[p:p + len(src)]) != src:
-            found = " ".join(map(str, word[p:p + len(src)])) or "1"
-            raise BadStep(i, f"{st.rid} expected "
+    for i, (p, rid, fwd) in enumerate(d.steps):
+        sides = fwd_sides if fwd else bwd_sides
+        side = sides.get(rid)
+        if side is None:
+            rel = index.get(rid)
+            if rel is None:
+                raise FamilyViolation(
+                    f"step {i} uses {rid}, not a {family} relation at n={d.n}")
+            src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)
+            side = sides[rid] = (list(src), len(src), dst)
+        src, k, dst = side
+        if p < 0 or word[p:p + k] != src:
+            found = " ".join(map(str, word[p:p + k])) or "1"
+            raise BadStep(i, f"{rid} expected "
                              f"{' '.join(map(str, src))} at {p}, found {found}")
-        word[p:p + len(src)] = dst
+        word[p:p + k] = dst
     if tuple(word) != d.end:
         raise EndMismatch("replay did not reach the recorded end word")
     if evaluate(Word(d.n, d.start))[0] != evaluate(Word(d.n, d.end))[0]:
@@ -473,16 +475,22 @@ def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:
 # certified), so the loader takes it as an argument.
 
 def derivation_to_text(d: Derivation) -> str:
-    lines = [f"n={d.n}; family={d.family}"]
-    lines.extend(step_to_text(s) for s in d.steps)
-    lines.append(f"end={word_to_text(d.end_word())}")
-    return "\n".join(lines) + "\n"
+    """The derivation file text; each distinct step is formatted once."""
+    text = {s: step_to_text(s) for s in dict.fromkeys(d.steps)}
+    return "\n".join([f"n={d.n}; family={d.family}",
+                      *map(text.__getitem__, d.steps),
+                      f"end={word_to_text(d.end_word())}"]) + "\n"
 
 
 _DERIVATION_HEADER = re.compile(r"^n=(\d+);\s*family=(\w+)$")
 
 
 def derivation_from_text(text: str, start: Word) -> Derivation:
+    """Parse a derivation file whose claim starts at `start`.
+
+    Each distinct step line is parsed once, in order of first occurrence
+    (so the first bad line raises first), and its `Step` is shared.
+    """
     lines = [ln for ln in map(str.strip, text.strip().splitlines()) if ln]
     if not lines:
         raise ValueError("empty derivation text")
@@ -495,14 +503,8 @@ def derivation_from_text(text: str, start: Word) -> Derivation:
         raise DegreeMismatch(f"start word degree {start.n} != header {n}")
     if not lines[-1].startswith("end="):
         raise ValueError("derivation text is missing its end line")
-    end = word_from_text(n, lines[-1][4:])
-    # certificates repeat lines heavily: parse each distinct line once and
-    # share its frozen Step; the first bad line still raises first
-    parsed: dict[str, Step] = {}
-    steps: list[Step] = []
-    for ln in lines[1:-1]:
-        st = parsed.get(ln)
-        if st is None:
-            st = parsed[ln] = step_from_text(ln)
-        steps.append(st)
-    return Derivation(n, family, start.letters, tuple(steps), end.letters)
+    end = word_from_text(n, lines.pop()[4:])
+    del lines[0]                        # the header: the step lines remain
+    parsed = {ln: step_from_text(ln) for ln in dict.fromkeys(lines)}
+    return Derivation(n, family, start.letters,
+                      tuple(map(parsed.__getitem__, lines)), end.letters)

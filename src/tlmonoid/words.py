@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetError
-from .tangles import Tangle, compose, generator, identity
+from .tangles import Tangle, _check_planar, identity
 from .tuples import TnTuple
 
 __all__ = [
@@ -130,14 +130,45 @@ def word_from_text(n: int, text: str) -> Word:
     return Word(n, tuple(letters))
 
 
+def _action(n: int, l: Letter) -> tuple[int, ...]:
+    """(u, v, lo, hi, d, s, t): the generator of `l` under a diagram joins
+    its lower points u, v, moves the strings ending at lo..hi-1 by d and
+    adds the lower arc (s, t).  Points are encoded as in `Tangle.partners`.
+    """
+    i, m = n + l.index, 2 * n
+    if l.alphabet == "L":       # lower j -> j-2 for j >= index+2
+        return i, i + 1, i + 2, m + 1, -2, m - 1, m
+    if l.alphabet == "R":       # the dagger image of L
+        return m - 1, m, i, m - 1, 2, i, i + 1
+    if l.alphabet == "E":
+        return i, i + 1, 0, 0, 0, i, i + 1
+    raise AlphabetError(f"no generator for the letter {l}")
+
+
 def evaluate(w: Word) -> tuple[Tangle, int]:
-    """Product of the generator diagrams of `w` and the total loop count."""
-    t = identity(w.n)
-    m = 0
+    """Product of the generator diagrams of `w` and the total loop count.
+
+    Each letter acts on one partner array (`_action`); its upper arc closes
+    a loop when it meets a lower arc.  Planarity is checked once, at the end.
+    """
+    n = w.n
+    p = list(identity(n).partners)
+    loops = 0
     for l in w.letters:
-        t, k = compose(t, generator(w.n, _ALPHABET_KIND[l.alphabet], l.index))
-        m += k
-    return t, m
+        u, v, lo, hi, d, s, t = _action(n, l)
+        a, b = p[u], p[v]
+        if a == v:
+            loops += 1
+        else:
+            p[a], p[b] = b, a
+        for x, q in enumerate(p[lo:hi], lo + d):
+            if lo <= q < hi:
+                q += d
+            p[x], p[q] = q, x
+        p[s], p[t] = t, s
+    p = tuple(p)
+    _check_planar(n, p)
+    return Tangle(n, p), loops
 
 
 def _hat_letter(n: int, l: Letter) -> tuple[Letter, ...]:

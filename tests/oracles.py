@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here works on raw block lists and avoids the package's own code
-paths, so the tests compare two genuinely different computations.  The one
-exception, `replay_translate`, names the package results it builds on.
+paths, so the tests compare two genuinely different computations.  The
+exceptions, `replay_translate` and `replay_check`, name the package results
+they build on.
 """
 
 from fractions import Fraction
@@ -90,6 +91,27 @@ def naive_compose(n, blocks_a, blocks_b):
             assert len(boundary) == 2
             blocks.append(frozenset(boundary))
     return frozenset(blocks), loops
+
+
+def naive_generator(n, alphabet, i):
+    """Blocks of the generator diagram of the letter `alphabet``i`."""
+    if alphabet == "E":
+        blocks = [(j, -j) for j in range(1, n + 1) if j not in (i, i + 1)]
+        return blocks + [(i, i + 1), (-i, -(i + 1))]
+    blocks = [(j, -j) for j in range(1, i)] + [(i, i + 1), (-(n - 1), -n)]
+    blocks += [(j, -(j - 2)) for j in range(i + 2, n + 1)]
+    if alphabet == "R":                 # the reflection of lambda
+        blocks = [(-u, -v) for u, v in blocks]
+    return blocks
+
+
+def naive_evaluate(n, letters):
+    """(frozenset of blocks, loops) of a word, one `naive_compose` per letter."""
+    blocks, loops = [(j, -j) for j in range(1, n + 1)], 0
+    for c in letters:
+        got, k = naive_compose(n, blocks, naive_generator(n, c.alphabet, c.index))
+        blocks, loops = [tuple(b) for b in got], loops + k
+    return frozenset(frozenset(b) for b in blocks), loops
 
 
 def naive_alg_mul(n, terms_a, terms_b, delta):
@@ -204,3 +226,35 @@ def replay_translate(w, deriv=None):
     if word != hat(lr):
         raise AssertionError("replay does not end on the hat image")
     return steps, tuple(word)
+
+
+def replay_check(d, family):
+    """`check_derivation` as one relation lookup and tuple compare per step.
+
+    The reference for the verdicts and messages of the package's replay,
+    which resolves each relation id once.  Returns the end word.
+    """
+    from tlmonoid import (BadStep, EndMismatch, FamilyViolation, Word,
+                          evaluate, relation_index)
+
+    if family not in ("Omega", "Xi"):
+        raise FamilyViolation(f"unknown relation family {family!r}")
+    index = relation_index(d.n, family)
+    word = list(d.start)
+    for i, st in enumerate(d.steps):
+        rel = index.get(st.rid)
+        if rel is None:
+            raise FamilyViolation(
+                f"step {i} uses {st.rid}, not a {family} relation at n={d.n}")
+        src, dst = (rel.lhs, rel.rhs) if st.forward else (rel.rhs, rel.lhs)
+        p = st.pos
+        if p < 0 or tuple(word[p:p + len(src)]) != src:
+            found = " ".join(map(str, word[p:p + len(src)])) or "1"
+            raise BadStep(i, f"{st.rid} expected "
+                             f"{' '.join(map(str, src))} at {p}, found {found}")
+        word[p:p + len(src)] = dst
+    if tuple(word) != d.end:
+        raise EndMismatch("replay did not reach the recorded end word")
+    if evaluate(Word(d.n, d.start))[0] != evaluate(Word(d.n, d.end))[0]:
+        raise EndMismatch("start and end words evaluate to different diagrams")
+    return Word(d.n, d.end)

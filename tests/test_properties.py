@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tlmonoid import (
     Derivation,
+    Step,
     Word,
     boundary_tuples,
     check_derivation,
@@ -23,9 +24,11 @@ from tlmonoid import (
     normal_form,
     normal_form_E,
     reduce_one_sided,
+    relation_index,
 )
 
-from oracles import dagger_letters, replay_translate
+from oracles import (as_blockset, dagger_letters, naive_evaluate, replay_check,
+                     replay_translate)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           max_examples=150, database=None)
@@ -141,3 +144,52 @@ def test_corrupt_step_line_is_named(w, kind, data):
     with pytest.raises(ValueError) as exc:
         derivation_from_text("\n".join(lines) + "\n", d.start_word())
     assert repr(bad) in str(exc.value)
+
+
+NON_CANONICAL_IDS = ["L1(01)", "E2(1,03)", "RL2(2, 2)", "Q9", ""]
+
+
+@DETERMINISTIC
+@given(words(), st.sampled_from(["position", "rid", "direction"]), st.data())
+def test_replay_agrees_with_the_per_step_oracle_on_a_corrupt_step(w, kind,
+                                                                   data):
+    _, d = certificate(w)
+    assume(d.steps)
+    steps = list(d.steps)
+    k = data.draw(st.integers(0, len(steps) - 1), label="step")
+    p, rid, fwd = steps[k]
+    if kind == "position":
+        p = data.draw(st.integers(-2, len(d.start) + 4), label="pos")
+    elif kind == "rid":
+        ids = (sorted(relation_index(d.n, "Omega"))
+               + sorted(relation_index(d.n, "Xi")) + NON_CANONICAL_IDS)
+        rid = data.draw(st.sampled_from(ids), label="rid")
+    else:
+        fwd = not fwd
+    steps[k] = Step(p, rid, fwd)
+    bad = dataclasses.replace(d, steps=tuple(steps))
+
+    def verdict(check):
+        try:
+            return "ok", check(bad, d.family)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "index", None)
+
+    assert verdict(check_derivation) == verdict(replay_check)
+
+
+@st.composite
+def any_degree_words(draw):
+    n = draw(st.integers(1, 40))
+    alphabet = draw(st.sampled_from(["L", "R", "E", "LR", "LRE"]))
+    letters = draw(st.lists(
+        st.tuples(st.sampled_from(alphabet), st.integers(1, max(n - 1, 1))),
+        max_size=30 if n > 1 else 0))
+    return Word(n, tuple(letter(a, i) for a, i in letters))
+
+
+@DETERMINISTIC
+@given(any_degree_words())
+def test_evaluate_agrees_with_the_union_find_oracle(w):
+    t, loops = evaluate(w)
+    assert (as_blockset(t), loops) == naive_evaluate(w.n, w.letters)

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from tlmonoid import (
+    Derivation,
     DegreeTooSmall,
+    FamilyViolation,
     NoMatch,
     Step,
     Word,
     ZeroDelta,
     apply_step,
+    check_derivation,
     evaluate,
     letter,
     mirror_steps,
@@ -82,6 +85,34 @@ def test_relation_by_id_validates_parameters():
         relation_by_id(5, "Q9(1)")
     with pytest.raises(ValueError):
         relation_by_id(5, "L1[1]")
+
+
+def test_non_canonical_ids_are_rejected_everywhere():
+    # one grammar: relation_by_id and apply_step reject what the family
+    # indexes, and so check_derivation, do not contain
+    w = word_from_text(5, "L1 L4 E1 E3")
+    for rid in ("L1(01)", "E2(1,03)", "RL2(2, 2)"):
+        with pytest.raises(ValueError, match=re.escape(repr(rid))):
+            relation_by_id(5, rid)
+        with pytest.raises(ValueError, match=re.escape(repr(rid))):
+            apply_step(w, Step(0, rid))
+        for family in ("Omega", "Xi"):
+            d = Derivation(5, family, w.letters, (Step(0, rid),), w.letters)
+            with pytest.raises(FamilyViolation, match=re.escape(rid)):
+                check_derivation(d)
+
+
+def test_step_is_an_immutable_value():
+    s = Step(0, "A")
+    assert repr(s) == "Step(pos=0, rid='A', forward=True)"
+    assert str(s) == "0:A:fwd"
+    assert str(Step(4, "L2(1,3)", forward=False)) == "4:L2(1,3):bwd"
+    assert Step(0, "A", forward=True) == s
+    assert hash(Step(0, "A", True)) == hash(s)
+    assert len({s, Step(0, "A", True), Step(0, "A", False)}) == 2
+    for field in ("pos", "rid", "forward"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, 1)
 
 
 def test_every_relation_is_sound_under_evaluation():
