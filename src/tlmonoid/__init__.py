@@ -36,11 +36,9 @@ from .tuples import (
 from .tangles import (
     Tangle,
     boundary_tuples,
-    build_tangle,
     compose,
     dagger,
     factorize,
-    generator,
     identity,
     make_tangle,
     profile,
@@ -56,7 +54,9 @@ from .words import (
     Letter,
     R,
     Word,
+    build_tangle,
     evaluate,
+    generator,
     hat,
     hooks_to_pairs,
     letter,

@@ -33,6 +33,7 @@ __all__ = [
     "XiPrimeReport",
     "element_to_text",
     "element_from_text",
+    "rational",
 ]
 
 
@@ -223,6 +224,18 @@ def element_to_text(a: AlgebraElement, delta) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rational(text: str) -> Fraction:
+    """The rational written `text`, like `2`, `-1/3` or `0.5`.
+
+    Raises ValueError naming the text when it is not one, a zero
+    denominator included.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
+
+
 _ELEMENT_HEADER = re.compile(r"^delta=([^;]+);\s*n=(\d+);$")
 
 
@@ -233,12 +246,12 @@ def element_from_text(text: str) -> tuple[AlgebraElement, Fraction]:
     m = _ELEMENT_HEADER.match(lines[0])
     if not m:
         raise ValueError(f"bad element header {lines[0]!r}")
-    delta = Fraction(m.group(1))
+    delta = rational(m.group(1))
     n = int(m.group(2))
     terms = []
     for ln in lines[1:]:
         coeff, sep, tng = ln.partition(" * ")
         if not sep:
             raise ValueError(f"bad element line {ln!r}")
-        terms.append((tangle_from_text(tng), Fraction(coeff)))
+        terms.append((tangle_from_text(tng), rational(coeff)))
     return AlgebraElement(n, terms), delta

@@ -22,26 +22,18 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .errors import (
-    CrossingError,
-    DegreeError,
-    DegreeMismatch,
-    LengthMismatch,
-    NotAMatching,
-)
+from .errors import CrossingError, DegreeError, DegreeMismatch, NotAMatching
 from .tuples import TnTuple, check_tuple
 
 __all__ = [
     "Tangle",
     "make_tangle",
     "identity",
-    "generator",
     "compose",
     "dagger",
     "profile",
     "boundary_tuples",
     "simplicity",
-    "build_tangle",
     "factorize",
     "tangle_to_text",
     "tangle_from_text",
@@ -184,46 +176,6 @@ def identity(n: int) -> Tangle:
     return Tangle(n, (0, *range(n + 1, 2 * n + 1), *range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
-def _generator(n: int, kind: str, i: int) -> Tangle:
-    if kind == "lambda":
-        blocks = [(j, -j) for j in range(1, i)]
-        blocks.append((i, i + 1))
-        blocks.extend((j, -(j - 2)) for j in range(i + 2, n + 1))
-        blocks.append((-(n - 1), -n))
-        return make_tangle(n, blocks)
-    if kind == "rho":
-        return dagger(_generator(n, "lambda", i))
-    # hook generator e_i
-    blocks = [(j, -j) for j in range(1, n + 1) if j != i and j != i + 1]
-    blocks.append((i, i + 1))
-    blocks.append((-i, -(i + 1)))
-    return make_tangle(n, blocks)
-
-
-_KIND_ALIASES = {
-    "lambda": "lambda", "l": "lambda",
-    "rho": "rho", "r": "rho",
-    "e": "e",
-}
-
-
-def generator(n: int, kind: str, i: int) -> Tangle:
-    """One of the three basic diagrams of degree n.
-
-    `lambda` joins i to i+1 on top and shifts the strands right of the arc
-    two places left, closing with a lower arc at n-1, n; `rho` is its
-    reflection; `e` is the hook with arcs {i, i+1} on both rows.  Requires
-    1 <= i <= n - 1 (so n >= 2); raises IndexError otherwise.
-    """
-    key = _KIND_ALIASES.get(str(kind).lower())
-    if key is None:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    if not isinstance(n, int) or not 1 <= i <= n - 1:
-        raise IndexError(f"generator index {i} outside [1, {n - 1}]")
-    return _generator(n, key, i)
-
-
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
@@ -334,28 +286,7 @@ def simplicity(a: Tangle) -> tuple[bool, bool]:
     return left, right
 
 
-def build_tangle(x: TnTuple, y: TnTuple) -> Tangle:
-    """Evaluate the balanced generator word for the pair (x, y).
-
-    Multiplies the lambda generators in entry order of x, then the rho
-    generators in reversed entry order of y.  The result is the unique
-    tangle with bl = x and br = y and rank n - 2|x|; the tests check this
-    for every balanced pair up to n = 8.
-    """
-    if x.n != y.n:
-        raise DegreeMismatch(f"degrees {x.n} and {y.n} differ")
-    if len(x) != len(y):
-        raise LengthMismatch(f"|x|={len(x)} but |y|={len(y)}")
-    n = x.n
-    t = identity(n)
-    for i in x.entries:
-        t, _ = compose(t, generator(n, "lambda", i))
-    for i in reversed(y.entries):
-        t, _ = compose(t, generator(n, "rho", i))
-    return t
-
-
-# the balanced pair (bl, br) of a tangle; inverse of `build_tangle`
+# the balanced pair (bl, br) of a tangle; inverse of `words.build_tangle`
 factorize = boundary_tuples
 
 

@@ -18,9 +18,9 @@ from math import comb
 
 from .errors import DegreeError, DegreeOutOfRange, DegreeTooLarge, TLError
 from .relations import apply_step, relation_set, Step
-from .tangles import Tangle, boundary_tuples, build_tangle, factorize
+from .tangles import Tangle, boundary_tuples, factorize
 from .tuples import enumerate_tuples
-from .words import Word, evaluate, hat, letter, tuple_words
+from .words import Word, build_tangle, evaluate, hat, letter, tuple_words
 from .rewrite import check_derivation, equal_words, normal_form, normal_form_E
 
 __all__ = [
@@ -283,10 +283,14 @@ def fuzz_words(n: int, count: int, max_len: int = 50,
     Every produced certificate is replayed by `check_derivation`, and every
     normal form is compared against direct diagram evaluation.  Also spot
     checks that word equality is an equivalence relation agreeing with
-    diagram equality on mutated triples.
+    diagram equality on mutated triples.  Raises ValueError for a negative
+    `count` or `max_len`.
     """
     if n < 3:
         raise DegreeOutOfRange("fuzzing needs n >= 3")
+    if count < 0 or max_len < 0:
+        raise ValueError(f"fuzzing needs count >= 0 and max_len >= 0,"
+                         f" got {count} and {max_len}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     lanes = []

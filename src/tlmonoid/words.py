@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlphabetError
+from .errors import AlphabetError, DegreeMismatch, LengthMismatch
 from .tangles import Tangle, _check_planar, identity
 from .tuples import TnTuple
 
@@ -31,12 +31,16 @@ __all__ = [
     "word_from_text",
     "word_to_text",
     "evaluate",
+    "generator",
+    "build_tangle",
     "hat",
     "hooks_to_pairs",
     "tuple_words",
 ]
 
-_ALPHABET_KIND = {"L": "lambda", "R": "rho", "E": "e"}
+# the alphabet of each generator kind `generator` accepts
+_ALPHABET_KIND = {"lambda": "L", "l": "L", "rho": "R", "r": "R", "e": "E"}
+_ALPHABETS = frozenset(_ALPHABET_KIND.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +60,7 @@ def letter(alphabet: str, index: int) -> Letter:
     key = (alphabet, index)
     got = _CACHE.get(key)
     if got is None:
-        if alphabet not in _ALPHABET_KIND:
+        if alphabet not in _ALPHABETS:
             raise AlphabetError(f"unknown alphabet {alphabet!r}")
         if index < 1:
             raise ValueError(f"letter index must be >= 1, got {index}")
@@ -124,7 +128,7 @@ def word_from_text(n: int, text: str) -> Word:
     letters = []
     for tok in toks:
         head = tok[:1].upper()
-        if head not in _ALPHABET_KIND or not tok[1:].isdigit():
+        if head not in _ALPHABETS or not tok[1:].isdigit():
             raise ValueError(f"bad word token {tok!r}")
         letters.append(letter(head, int(tok[1:])))
     return Word(n, tuple(letters))
@@ -169,6 +173,37 @@ def evaluate(w: Word) -> tuple[Tangle, int]:
     p = tuple(p)
     _check_planar(n, p)
     return Tangle(n, p), loops
+
+
+def generator(n: int, kind: str, i: int) -> Tangle:
+    """One of the three basic diagrams of degree n.
+
+    `lambda` joins i to i+1 on top and shifts the strands right of the arc
+    two places left, closing with a lower arc at n-1, n; `rho` is its
+    reflection; `e` is the hook with arcs {i, i+1} on both rows.  Requires
+    1 <= i <= n - 1 (so n >= 2); raises IndexError otherwise.
+    """
+    alphabet = _ALPHABET_KIND.get(str(kind).lower())
+    if alphabet is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    if not isinstance(n, int) or not 1 <= i <= n - 1:
+        raise IndexError(f"generator index {i} outside [1, {n - 1}]")
+    return evaluate(Word(n, (letter(alphabet, i),)))[0]
+
+
+def build_tangle(x: TnTuple, y: TnTuple) -> Tangle:
+    """Evaluate the balanced generator word for the pair (x, y).
+
+    The word is the lambda letters in entry order of x, then the rho
+    letters in reversed entry order of y (`tuple_words`).  The result is
+    the unique tangle with bl = x and br = y and rank n - 2|x|; the tests
+    check this for every balanced pair up to n = 8.
+    """
+    if x.n != y.n:
+        raise DegreeMismatch(f"degrees {x.n} and {y.n} differ")
+    if len(x) != len(y):
+        raise LengthMismatch(f"|x|={len(x)} but |y|={len(y)}")
+    return evaluate(tuple_words(x)[0].concat(tuple_words(y)[1]))[0]
 
 
 def _hat_letter(n: int, l: Letter) -> tuple[Letter, ...]:

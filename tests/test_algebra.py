@@ -163,6 +163,19 @@ def test_element_text_round_trip():
     assert back == e and delta == Fraction(1, 3)
 
 
+def test_rationals_with_a_zero_denominator_raise_value_error():
+    from tlmonoid.algebra import rational
+    assert rational("1/3") == Fraction(1, 3) and rational("-2") == -2
+    for bad in ("1/0", "x"):
+        with pytest.raises(ValueError, match=bad):
+            rational(bad)
+    with pytest.raises(ValueError, match="1/0"):
+        element_from_text("delta=1/0; n=5;")
+    with pytest.raises(ValueError, match="1/0"):
+        element_from_text("delta=2; n=5;\n"
+                          "1/0 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
+
+
 def test_element_text_golden():
     e = scale(2, hook(5, 4))
     assert element_to_text(e, 2) == (

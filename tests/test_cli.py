@@ -151,3 +151,44 @@ def test_determinism_of_nf_and_verify():
     assert len(outs) == 1
     outs = {run_cli("nf", "--n", "7", "R2 L3 E1 R5")[1] for _ in range(2)}
     assert len(outs) == 1
+
+
+def main_in_process(argv, capsys):
+    """(exit code, stdout) of `cli.main`, also when argparse exits."""
+    from tlmonoid import cli
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "{a}", "{a}", "--n", "9"],
+    ["dagger", "{a}", "--n", "9"],
+    ["factorize", "{a}", "--n", "9"],
+    ["enumerate", "4", "--n", "4"],
+    ["verify", "4", "--n", "4"],
+    ["render", ALPHA, "--n", "9"],
+    ["render", ALPHA, "--format", "text"],
+    ["check-cert", "{cert}", "--n", "5", "R2 L2", "--format", "text"],
+    ["nf", "L1"],
+    ["build", "(1)", "(1)"],
+])
+def test_dropped_and_missing_options_exit_two(argv, tmp_path, capsys):
+    # the files exist, so only the option itself can be refused
+    paths = {"a": str(tmp_path / "a.tl"), "cert": str(tmp_path / "d.cert")}
+    (tmp_path / "a.tl").write_text(ALPHA + "\n")
+    main_in_process(["nf", "--n", "5", "R2 L2", "--cert", paths["cert"]],
+                    capsys)
+    argv = [a.format(**paths) for a in argv]
+    assert main_in_process(argv, capsys) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["alg", "--n", "5", "E4 E4", "--delta", "1/0"],
+    ["verify", "3", "--fuzz", "-5"],
+    ["verify", "3", "--fuzz", "4", "--max-len", "-1"],
+])
+def test_bad_numbers_exit_two_before_any_output(argv, capsys):
+    assert main_in_process(argv, capsys) == (2, "")

@@ -106,6 +106,13 @@ def test_fuzz_empty_run():
     assert rep.triples == 0
 
 
+def test_fuzz_rejects_negative_sizes():
+    with pytest.raises(ValueError, match="-5"):
+        fuzz_words(3, -5)
+    with pytest.raises(ValueError, match="-1"):
+        fuzz_words(3, 4, max_len=-1)
+
+
 def test_fuzz_reports_are_reproducible():
     a = fuzz_words(4, 60, max_len=25, seed=42)
     b = fuzz_words(4, 60, max_len=25, seed=42)
