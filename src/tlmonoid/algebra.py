@@ -18,7 +18,8 @@ from math import lcm
 
 from .errors import AlphabetError, DegreeMismatch, DegreeTooSmall, ZeroDelta
 from .relations import twist_relations
-from .tangles import Tangle, compose, identity, tangle_from_text, tangle_to_text
+from .tangles import (Tangle, _check_planar, _stack, identity,
+                      tangle_from_text, tangle_to_text)
 from .words import Word, evaluate
 
 __all__ = [
@@ -40,8 +41,8 @@ __all__ = [
 class AlgebraElement:
     """An exact linear combination of degree-n tangles.
 
-    Zero coefficients are never stored; equality is coefficientwise.  Treat
-    instances as immutable.
+    Zero coefficients are never stored; equality is coefficientwise.  A term
+    of another degree raises DegreeMismatch.  Treat instances as immutable.
     """
 
     __slots__ = ("n", "terms")
@@ -51,6 +52,9 @@ class AlgebraElement:
         clean: dict[Tangle, Fraction] = {}
         if terms:
             for t, c in (terms.items() if isinstance(terms, dict) else terms):
+                if t.n != n:
+                    raise DegreeMismatch(
+                        f"term of degree {t.n} in an element of degree {n}")
                 c = Fraction(c)
                 if c:
                     c = clean.get(t, Fraction(0)) + c
@@ -118,9 +122,9 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
 
 
 def _integer_terms(a: AlgebraElement) -> tuple[list, int]:
-    # (tangle, integer numerator) pairs over the lcm of the denominators
+    # (partner array, integer numerator) pairs over the lcm of denominators
     d = lcm(*(c.denominator for c in a.terms.values()))
-    return [(t, c.numerator * (d // c.denominator))
+    return [(t.partners, c.numerator * (d // c.denominator))
             for t, c in a.terms.items()], d
 
 
@@ -128,24 +132,31 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
     """Bilinear product; basis diagrams multiply with weight delta^loops.
 
     With delta = p/q and at most h = n // 2 loops, delta^m = p^m q^(h-m) / q^h,
-    so the sums are integers over one denominator until the end.
+    so the sums are integers over one denominator until the end.  They are
+    keyed by the unchecked partner arrays of `tangles._stack`; each distinct
+    array is then checked once with `_check_planar`, a sum that cancels to
+    zero included, so no product escapes the check.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
+    n = a.n
     delta = Fraction(delta)
     p, q = delta.numerator, delta.denominator
-    h = a.n // 2
+    h = n // 2
     weight = [p ** m * q ** (h - m) for m in range(h + 1)]
     ia, da = _integer_terms(a)
     ib, db = _integer_terms(b)
-    sums: dict[Tangle, int] = {}
-    for ta, ca in ia:
-        for tb, cb in ib:
-            t, m = compose(ta, tb)
+    sums: dict[tuple[int, ...], int] = {}
+    for pa, ca in ia:
+        for pb, cb in ib:
+            t, m = _stack(n, pa, pb)
             sums[t] = sums.get(t, 0) + ca * cb * weight[m]
+    for t in sums:
+        _check_planar(n, t)
     denom = da * db * q ** h
-    out = AlgebraElement(a.n)
-    out.terms = {t: Fraction(s, denom) for t, s in sums.items() if s}
+    out = AlgebraElement(n)
+    out.terms = {Tangle(n, t): Fraction(s, denom)
+                 for t, s in sums.items() if s}
     return out
 
 

@@ -55,10 +55,13 @@ def _read_tangle_file(path):
 
 def _parse_entries(text):
     text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"bad tuple token {text!r}; expected like (5,3,2) or ()")
-    body = text[1:-1].strip()
-    return [int(tok) for tok in body.split(",")] if body else []
+    try:
+        if text.startswith("(") and text.endswith(")"):
+            body = text[1:-1].strip()
+            return [int(tok) for tok in body.split(",")] if body else []
+    except ValueError:
+        pass
+    raise ValueError(f"bad tuple token {text!r}; expected like (5,3,2) or ()")
 
 
 def _tangle(t, **extra):

@@ -179,16 +179,24 @@ def identity(n: int) -> Tangle:
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
-    Strings are traced through the fused middle row, writing the partner
-    array of the product as they reach the boundary; components that never
-    reach the boundary are the interior loops.  Every product is checked
-    to be planar.
+    The product array comes from `_stack` and is checked to be planar here
+    with `_check_planar`, so every tangle `compose` returns is checked.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
-    n = a.n
-    pa = a.partners
-    pb = b.partners
+    out, loops = _stack(a.n, a.partners, b.partners)
+    _check_planar(a.n, out)
+    return Tangle(a.n, out), loops
+
+
+def _stack(n: int, pa: tuple[int, ...], pb: tuple[int, ...]):
+    """(partner tuple, loop count) of `pa` stacked on `pb`, both of degree n.
+
+    Strings are traced through the fused middle row, writing the partner
+    array of the product as they reach the boundary; components that never
+    reach the boundary are the interior loops.  Nothing is checked: the
+    caller runs `_check_planar` on the result, once per distinct array.
+    """
     out = [0] * (2 * n + 1)
     mid_seen = [False] * (n + 1)
 
@@ -232,10 +240,7 @@ def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
             if cur == m:
                 break
             mid_seen[cur] = True
-
-    out = tuple(out)
-    _check_planar(n, out)
-    return Tangle(n, out), loops
+    return tuple(out), loops
 
 
 def dagger(a: Tangle) -> Tangle:

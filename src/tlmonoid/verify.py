@@ -41,23 +41,21 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _segment_matchings(points: tuple[int, ...]):
-    """Non-crossing matchings of consecutive boundary positions.
+def _offset_matchings(length: int, memo: dict) -> list[tuple[int, ...]]:
+    """Non-crossing matchings of `length` consecutive boundary positions.
 
-    The first position pairs with a position at odd offset, splitting the
-    rest into an enclosed segment and a tail; recursing on both is the
-    classical Catalan recursion and fixes a deterministic order.
+    Entry r of a matching is the offset from position r to its partner, so
+    a matching fits any segment of its length.  The first position pairs
+    with the one at odd offset t, splitting the rest into an enclosed
+    segment and a tail: `(t, *inner, -t, *tail)`.  This is the classical
+    Catalan recursion, in a fixed order, and `memo` holds each length once.
     """
-    if not points:
-        return ((),)
-    first = points[0]
-    out = []
-    for t in range(1, len(points), 2):
-        pair = (first, points[t])
-        for inner in _segment_matchings(points[1:t]):
-            for outer in _segment_matchings(points[t + 1:]):
-                out.append((pair,) + inner + outer)
-    return tuple(out)
+    if length not in memo:
+        memo[length] = [(t, *inner, -t, *tail)
+                        for t in range(1, length, 2)
+                        for inner in _offset_matchings(t - 1, memo)
+                        for tail in _offset_matchings(length - t - 1, memo)]
+    return memo[length]
 
 
 @lru_cache(maxsize=None)
@@ -65,20 +63,24 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     """All tangles of degree n, deterministically ordered.
 
     Guarded to n <= 12 (208012 diagrams); raises DegreeTooLarge beyond.
+    The diagrams are non-crossing by construction and are not passed
+    through `_check_planar`; the tests check every one up to n = 8.
     """
     if not isinstance(n, int) or n < 1:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
     if n > _MAX_ENUM_DEGREE:
         raise DegreeTooLarge(f"enumeration capped at degree {_MAX_ENUM_DEGREE}")
-    # boundary position -> encoded point: +i is i, -i is n + i
-    enc = [p if p <= n else 3 * n + 1 - p for p in range(2 * n + 1)]
-    out = []
-    for matching in _segment_matchings(tuple(range(1, 2 * n + 1))):
-        partners = [0] * (2 * n + 1)
-        for p, q in matching:
-            partners[enc[p]], partners[enc[q]] = enc[q], enc[p]
-        out.append(Tangle(n, tuple(partners)))
-    return tuple(out)
+    # boundary position r (from 0) -> encoded point: +i is i, -i is n + i;
+    # the map is its own inverse up to the shift, so `at` inverts it
+    enc = [r + 1 if r < n else 3 * n - r for r in range(2 * n)]
+    at = [e - 1 for e in enc]
+    memo = {0: [()]}
+    # the top level is streamed rather than stored in `memo`
+    return tuple(Tangle(n, (0, *[enc[r + m[r]] for r in at]))
+                 for t in range(1, 2 * n, 2)
+                 for inner in _offset_matchings(t - 1, memo)
+                 for tail in _offset_matchings(2 * n - t - 1, memo)
+                 for m in [(t, *inner, -t, *tail)])
 
 
 # -- presentation checks ---------------------------------------------------------

@@ -130,6 +130,35 @@ def naive_alg_mul(n, terms_a, terms_b, delta):
     return {blocks: c for blocks, c in out.items() if c}
 
 
+def segment_matchings(points):
+    """Non-crossing matchings of consecutive boundary positions, in order.
+
+    The Catalan recursion: the first position pairs with a position at odd
+    offset, and the enclosed segment and the tail are matched recursively,
+    inner matchings outermost.  This is the order `enumerate_TL` keeps.
+    """
+    if not points:
+        return [()]
+    first = points[0]
+    return [((first, points[t]),) + inner + outer
+            for t in range(1, len(points), 2)
+            for inner in segment_matchings(points[1:t])
+            for outer in segment_matchings(points[t + 1:])]
+
+
+def enumeration_order(n):
+    """Block sets of the degree-n diagrams in the order of the recursion.
+
+    Boundary position p is the upper point +p for p <= n and the lower
+    point -(2n + 1 - p) otherwise.
+    """
+    def point(p):
+        return p if p <= n else p - 2 * n - 1
+
+    return [frozenset(frozenset((point(p), point(q))) for p, q in m)
+            for m in segment_matchings(tuple(range(1, 2 * n + 1)))]
+
+
 def all_matchings(points):
     """Every perfect matching of an even-sized list, as block lists."""
     points = list(points)

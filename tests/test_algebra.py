@@ -6,6 +6,7 @@ import pytest
 from tlmonoid import (
     AlgebraElement,
     AlphabetError,
+    CrossingError,
     DegreeMismatch,
     DegreeTooSmall,
     ZeroDelta,
@@ -17,6 +18,7 @@ from tlmonoid import (
     element_to_text,
     enumerate_TL,
     generator,
+    identity,
     one,
     scale,
     verify_xi_prime,
@@ -52,6 +54,53 @@ def test_add_cancels():
 def test_add_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         add(hook(5, 1), hook(6, 1))
+
+
+def test_elements_refuse_terms_of_another_degree():
+    with pytest.raises(DegreeMismatch, match="degree 7"):
+        AlgebraElement(5, {identity(7): 1})
+    with pytest.raises(DegreeMismatch):
+        AlgebraElement(5, [(identity(5), 1), (identity(7), 0)])
+    with pytest.raises(DegreeMismatch):
+        element_from_text("delta=2; n=5;\n"
+                          "1 * n=7; blocks=(1,-1)(2,-2)(3,-3)(4,-4)(5,-5)"
+                          "(6,-6)(7,-7)\n")
+    with pytest.raises(DegreeMismatch):
+        alg_mul(one(5), one(7), 2)
+
+
+# a crossing partner array of degree 3: blocks (1,-2)(2,-1)(3,-3)
+CROSSING = (0, 5, 4, 6, 2, 1, 3)
+
+
+def stack_with_crossings(monkeypatch, bad_pairs):
+    # make the kernel of alg_mul return CROSSING for the given tangle pairs
+    from tlmonoid import algebra
+
+    real = algebra._stack
+    bad = {(s.partners, t.partners) for s, t in bad_pairs}
+
+    def stack(n, pa, pb):
+        return (CROSSING, 0) if (pa, pb) in bad else real(n, pa, pb)
+
+    monkeypatch.setattr(algebra, "_stack", stack)
+
+
+def test_alg_mul_checks_a_surviving_product(monkeypatch):
+    t, s = generator(3, "e", 1), generator(3, "e", 2)
+    stack_with_crossings(monkeypatch, [(t, s)])
+    a = AlgebraElement(3, {t: 1, identity(3): 1})
+    with pytest.raises(CrossingError):
+        alg_mul(a, AlgebraElement(3, {s: 2}), 2)
+
+
+def test_alg_mul_checks_a_product_that_cancels(monkeypatch):
+    t, s1, s2 = identity(3), generator(3, "e", 1), generator(3, "e", 2)
+    stack_with_crossings(monkeypatch, [(t, s1), (t, s2)])
+    a = AlgebraElement(3, {t: 1})
+    b = AlgebraElement(3, {s1: 3, s2: -3, identity(3): 1})
+    with pytest.raises(CrossingError):
+        alg_mul(a, b, 2)
 
 
 def test_hook_squares_scale_by_delta():

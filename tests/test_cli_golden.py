@@ -108,6 +108,8 @@ CASES = [
      EMPTY, "error: letter L9 has index outside [1, 4]\n"),
     ("bad-tuple-token", ["build", "--n", "5", "5,3", "()"], 2, EMPTY,
      "error: bad tuple token '5,3'; expected like (5,3,2) or ()\n"),
+    ("bad-tuple-entry", ["build", "--n", "5", "(1,,2)", "()"], 2, EMPTY,
+     "error: bad tuple token '(1,,2)'; expected like (5,3,2) or ()\n"),
     ("alg-not-pure-e", ["alg", "--n", "5", "L1", "--delta", "2"], 2, EMPTY,
      "error: alg_eval_word takes a pure E word\n"),
     ("verify-degree-too-small", ["verify", "2"], 2, EMPTY,

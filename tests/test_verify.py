@@ -14,7 +14,7 @@ from tlmonoid import (
     verify_presentation,
 )
 
-from oracles import all_matchings, naive_noncrossing
+from oracles import all_matchings, as_blockset, enumeration_order, naive_noncrossing
 
 
 def test_counts_match_catalan():
@@ -50,6 +50,19 @@ def test_enumeration_matches_brute_force():
         got = {frozenset(frozenset(b) for b in t.blocks)
                for t in enumerate_TL(n)}
         assert got == valid
+
+
+def test_enumeration_keeps_the_order_of_the_segment_recursion():
+    for n in range(1, 11):
+        got = [as_blockset(t) for t in enumerate_TL(n)]
+        assert got == enumeration_order(n), n
+
+
+def test_every_enumerated_diagram_passes_make_tangle():
+    # enumerate_TL builds partner arrays without the planarity check
+    for n in range(1, 9):
+        for t in enumerate_TL(n):
+            assert make_tangle(n, t.blocks) == t
 
 
 def test_enumeration_is_canonical_and_deterministic():
