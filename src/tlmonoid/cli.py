@@ -55,12 +55,12 @@ def _read_tangle_file(path):
 
 def _parse_entries(text):
     text = text.strip()
-    try:
-        if text.startswith("(") and text.endswith(")"):
-            body = text[1:-1].strip()
+    if text.startswith("(") and text.endswith(")"):
+        body = text[1:-1].strip()
+        try:
             return [int(tok) for tok in body.split(",")] if body else []
-    except ValueError:
-        pass
+        except ValueError:
+            pass
     raise ValueError(f"bad tuple token {text!r}; expected like (5,3,2) or ()")
 
 

@@ -194,8 +194,8 @@ def _stack(n: int, pa: tuple[int, ...], pb: tuple[int, ...]):
 
     Strings are traced through the fused middle row, writing the partner
     array of the product as they reach the boundary; components that never
-    reach the boundary are the interior loops.  Nothing is checked: the
-    caller runs `_check_planar` on the result, once per distinct array.
+    reach the boundary are the interior loops.  Nothing is checked here:
+    `compose` checks each result, and `alg_mul` each distinct one.
     """
     out = [0] * (2 * n + 1)
     mid_seen = [False] * (n + 1)

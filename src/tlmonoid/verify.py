@@ -70,8 +70,8 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
     if n > _MAX_ENUM_DEGREE:
         raise DegreeTooLarge(f"enumeration capped at degree {_MAX_ENUM_DEGREE}")
-    # boundary position r (from 0) -> encoded point: +i is i, -i is n + i;
-    # the map is its own inverse up to the shift, so `at` inverts it
+    # boundary position r (from 0) -> encoded point (+i is i, -i is n + i);
+    # the map is an involution up to the shift, so `at` is its inverse
     enc = [r + 1 if r < n else 3 * n - r for r in range(2 * n)]
     at = [e - 1 for e in enc]
     memo = {0: [()]}

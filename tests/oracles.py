@@ -134,8 +134,9 @@ def segment_matchings(points):
     """Non-crossing matchings of consecutive boundary positions, in order.
 
     The Catalan recursion: the first position pairs with a position at odd
-    offset, and the enclosed segment and the tail are matched recursively,
-    inner matchings outermost.  This is the order `enumerate_TL` keeps.
+    offset, and the enclosed segment and the tail are matched recursively;
+    for each offset the enclosed segment's matchings vary slowest.  This is
+    the order `enumerate_TL` keeps.
     """
     if not points:
         return [()]
