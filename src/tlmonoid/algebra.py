@@ -2,11 +2,15 @@
 
 Elements are finite linear combinations of tangles.  The product of two
 basis diagrams is their diagram product rescaled by delta raised to the
-number of interior loops the stacking closed, extended bilinearly.  All
-arithmetic is exact: coefficients are arbitrary-precision rationals
-(`Fraction`), and the product accumulates them as integers over one common
-denominator.  delta is threaded through the product rather than stored on
-elements, and is recorded when serializing.
+number of interior loops the stacking closed, extended bilinearly.  The
+product prepares each term of the left factor once as the upper half of a
+stacking and each term of the right factor once as the lower half
+(`tangles._upper_half`, `tangles._lower_half`), so a pair of terms costs
+only the walk over the strands that meet the middle row.  All arithmetic
+is exact: coefficients are arbitrary-precision rationals (`Fraction`), and
+the product accumulates them as integers over one common denominator.
+delta is threaded through the product rather than stored on elements, and
+is recorded when serializing.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from math import lcm
 
 from .errors import AlphabetError, DegreeMismatch, DegreeTooSmall, ZeroDelta
 from .relations import twist_relations
-from .tangles import (Tangle, _check_planar, _stack, identity,
-                      tangle_from_text, tangle_to_text)
+from .tangles import (Tangle, _check_planar, _lower_half, _stack,
+                      _upper_half, identity, tangle_from_text, tangle_to_text)
 from .words import Word, evaluate
 
 __all__ = [
@@ -121,21 +125,27 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
     return out
 
 
-def _integer_terms(a: AlgebraElement) -> tuple[list, int]:
-    # (partner array, integer numerator) pairs over the lcm of denominators
+def _integer_terms(a: AlgebraElement, half) -> tuple[list, int]:
+    # (prepared half, integer numerator) pairs over the lcm of denominators
+    n = a.n
     d = lcm(*(c.denominator for c in a.terms.values()))
-    return [(t.partners, c.numerator * (d // c.denominator))
+    return [(half(n, t.partners), c.numerator * (d // c.denominator))
             for t, c in a.terms.items()], d
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
     """Bilinear product; basis diagrams multiply with weight delta^loops.
 
-    With delta = p/q and at most h = n // 2 loops, delta^m = p^m q^(h-m) / q^h,
-    so the sums are integers over one denominator until the end.  They are
-    keyed by the unchecked partner arrays of `tangles._stack`; each distinct
-    array is then checked once with `_check_planar`, a sum that cancels to
-    zero included, so no product escapes the check.
+    Each term of `a` is prepared once as an upper half and each term of
+    `b` once as a lower half (`tangles._upper_half`, `_lower_half`); every
+    pair of terms then costs one `tangles._stack` walk over the strands
+    that meet the middle row.  With delta = p/q and at most h = n // 2
+    loops, delta^m = p^m q^(h-m) / q^h, so the sums are integers over one
+    denominator until the end, and each term of `a` has its coefficient
+    multiplied by every weight before the pairs are walked.  The sums are
+    keyed by the walk's unchecked partner arrays; each distinct array is
+    then checked once with `_check_planar`, a sum that cancels to zero
+    included, so no product escapes the check.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
@@ -144,13 +154,14 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
     p, q = delta.numerator, delta.denominator
     h = n // 2
     weight = [p ** m * q ** (h - m) for m in range(h + 1)]
-    ia, da = _integer_terms(a)
-    ib, db = _integer_terms(b)
+    ia, da = _integer_terms(a, _upper_half)
+    ib, db = _integer_terms(b, _lower_half)
     sums: dict[tuple[int, ...], int] = {}
-    for pa, ca in ia:
-        for pb, cb in ib:
-            t, m = _stack(n, pa, pb)
-            sums[t] = sums.get(t, 0) + ca * cb * weight[m]
+    for upper, ca in ia:
+        cw = [ca * w for w in weight]
+        for lower, cb in ib:
+            t, m = _stack(n, upper, lower)
+            sums[t] = sums.get(t, 0) + cw[m] * cb
     for t in sums:
         _check_planar(n, t)
     denom = da * db * q ** h

@@ -179,67 +179,100 @@ def identity(n: int) -> Tangle:
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
-    The product array comes from `_stack` and is checked to be planar here
-    with `_check_planar`, so every tangle `compose` returns is checked.
+    Prepares `a` as an upper and `b` as a lower half, runs the one product
+    walk `_stack` on them and checks its array with `_check_planar`, so
+    every tangle `compose` returns is checked.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
-    out, loops = _stack(a.n, a.partners, b.partners)
-    _check_planar(a.n, out)
-    return Tangle(a.n, out), loops
+    n = a.n
+    out, loops = _stack(n, _upper_half(n, a.partners),
+                        _lower_half(n, b.partners))
+    _check_planar(n, out)
+    return Tangle(n, out), loops
 
 
-def _stack(n: int, pa: tuple[int, ...], pb: tuple[int, ...]):
-    """(partner tuple, loop count) of `pa` stacked on `pb`, both of degree n.
+def _upper_half(n: int, p: tuple[int, ...]):
+    """The parts of partners `p` that `_stack` reads from an upper factor.
 
-    Strings are traced through the fused middle row, writing the partner
-    array of the product as they reach the boundary; components that never
-    reach the boundary are the interior loops.  Nothing is checked here:
+    (top, through, arc_ends, low): the top row as a list indexed 0..n with
+    the through strands blanked to 0; the (top point, middle point) pairs
+    of the through strands; the left ends of the lower arcs, as middle
+    points; and `low`, the lower row indexed by middle point, holding the
+    partner middle point of an arc and minus the top point of a through
+    strand.
+    """
+    top = [f if f <= n else 0 for f in p[:n + 1]]
+    through = [(i, p[i] - n) for i in range(1, n + 1) if p[i] > n]
+    low = [0, *(f - n if f > n else -f for f in p[n + 1:])]
+    arc_ends = [m for m in range(1, n + 1) if low[m] > m]
+    return top, through, arc_ends, low
+
+
+def _lower_half(n: int, p: tuple[int, ...]):
+    """The parts of partners `p` that `_stack` reads from a lower factor.
+
+    (p, bottom, through): the array itself; the bottom row as a list of n
+    entries for the encoded points n+1..2n, with the through strands
+    blanked to 0; and the (bottom point, middle point) pairs of the through
+    strands.
+    """
+    bottom = [f if f > n else 0 for f in p[n + 1:]]
+    through = [(j, p[j]) for j in range(n + 1, 2 * n + 1) if p[j] <= n]
+    return p, bottom, through
+
+
+def _stack(n: int, upper, lower):
+    """(partner tuple, loop count) of an upper half stacked on a lower half.
+
+    The halves come from `_upper_half` and `_lower_half` of two degree-n
+    arrays.  The product starts as the upper factor's top row followed by
+    the lower factor's bottom row, which already holds every arc that does
+    not touch the middle row.  The walk then traces the upper factor's
+    through strands, then the lower factor's through strands still unset,
+    across the middle row to the boundary, marking the ends of the upper
+    factor's lower arcs they pass.  Each unmarked lower arc lies on a
+    closed loop, which is traced and counted once.  Nothing is checked here:
     `compose` checks each result, and `alg_mul` each distinct one.
     """
-    out = [0] * (2 * n + 1)
-    mid_seen = [False] * (n + 1)
-
-    for i in range(1, n + 1):
+    top, through_a, arc_ends, low = upper
+    pb, bottom, through_b = lower
+    out = top + bottom
+    seen = [False] * (n + 1)
+    for i, m in through_a:
         if out[i]:
             continue
-        cur = pa[i]
-        while cur > n:                  # until another upper point of a
-            m = cur - n                 # fall through the middle row into b
-            mid_seen[m] = True
-            cur = pb[m]
-            if cur > n:                 # a lower point of b
+        e = pb[m]
+        while e <= n:                   # an upper arc of b, back to the middle
+            f = low[e]
+            if f < 0:                   # a through strand of a, to the top
+                e = -f
                 break
-            mid_seen[cur] = True        # climb back into a
-            cur = pa[n + cur]
-        out[i], out[cur] = cur, i
-
-    for j in range(n + 1, 2 * n + 1):
+            seen[e] = seen[f] = True    # a lower arc of a
+            e = pb[f]
+        out[i], out[e] = e, i
+    for j, m in through_b:
         if out[j]:
             continue
-        cur = pb[j]
-        while cur <= n:                 # until another lower point of b
-            mid_seen[cur] = True
-            # paths from the bottom cannot end on top: those were all
-            # written by the first sweep
-            m = pa[n + cur] - n
-            mid_seen[m] = True
-            cur = pb[m]
-        out[j], out[cur] = cur, j
-
+        # not reached from the top, so it meets only lower arcs of a
+        e = m
+        while e <= n:
+            f = low[e]
+            seen[e] = seen[f] = True
+            e = pb[f]
+        out[j], out[e] = e, j
     loops = 0
-    for m in range(1, n + 1):
-        if mid_seen[m]:
+    for m in arc_ends:
+        if seen[m]:
             continue
         loops += 1
-        cur = m
+        e = m
         while True:
-            mid = pb[cur]               # across b, then back across a
-            mid_seen[mid] = True
-            cur = pa[n + mid] - n
-            if cur == m:
+            f = low[e]
+            seen[e] = seen[f] = True
+            e = pb[f]
+            if e == m:
                 break
-            mid_seen[cur] = True
     return tuple(out), loops
 
 

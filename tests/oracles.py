@@ -87,9 +87,11 @@ def naive_compose(n, blocks_a, blocks_b):
                 boundary.append(-i)
         if not boundary:
             loops += 1
-        else:
-            assert len(boundary) == 2
+        elif len(boundary) == 2:
             blocks.append(frozenset(boundary))
+        else:
+            raise AssertionError(f"a string of the product meets the "
+                                 f"boundary at {sorted(boundary)}")
     return frozenset(blocks), loops
 
 

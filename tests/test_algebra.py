@@ -74,14 +74,18 @@ CROSSING = (0, 5, 4, 6, 2, 1, 3)
 
 
 def stack_with_crossings(monkeypatch, bad_pairs):
-    # make the kernel of alg_mul return CROSSING for the given tangle pairs
-    from tlmonoid import algebra
+    # make the kernel of alg_mul return CROSSING for the given tangle pairs,
+    # recognised by their prepared halves
+    from tlmonoid import algebra, tangles
 
     real = algebra._stack
-    bad = {(s.partners, t.partners) for s, t in bad_pairs}
+    bad = [(tangles._upper_half(s.n, s.partners),
+            tangles._lower_half(t.n, t.partners)) for s, t in bad_pairs]
 
-    def stack(n, pa, pb):
-        return (CROSSING, 0) if (pa, pb) in bad else real(n, pa, pb)
+    def stack(n, upper, lower):
+        if (upper, lower) in bad:
+            return CROSSING, 0
+        return real(n, upper, lower)
 
     monkeypatch.setattr(algebra, "_stack", stack)
 

@@ -1,25 +1,31 @@
-"""Property tests of certificates over random L/R/E words.
+"""Property tests of certificates over random L/R/E words, and of the
+diagram and algebra products over random diagrams.
 
 Hypothesis runs under a derandomized profile, so every run of the suite
 draws the same examples and a failure reproduces without a database.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tlmonoid import (
+    AlgebraElement,
     Derivation,
     Step,
     Word,
+    alg_mul,
     boundary_tuples,
     check_derivation,
+    compose,
     derivation_from_text,
     derivation_to_text,
     evaluate,
     letter,
+    make_tangle,
     mirror_steps,
     normal_form,
     normal_form_E,
@@ -27,8 +33,8 @@ from tlmonoid import (
     relation_index,
 )
 
-from oracles import (as_blockset, dagger_letters, naive_evaluate, replay_check,
-                     replay_translate)
+from oracles import (as_blockset, dagger_letters, naive_alg_mul, naive_compose,
+                     naive_evaluate, replay_check, replay_translate)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None,
                           max_examples=150, database=None)
@@ -193,3 +199,96 @@ def any_degree_words(draw):
 def test_evaluate_agrees_with_the_union_find_oracle(w):
     t, loops = evaluate(w)
     assert (as_blockset(t), loops) == naive_evaluate(w.n, w.letters)
+
+
+@st.composite
+def rows(draw, n, rank):
+    """One row of n points: `rank` through points and nested arcs elsewhere.
+
+    Returns (arcs, through points), each arc a (left, right) pair.  No
+    through point lies under an arc, so rows of equal rank join into a
+    planar diagram.
+    """
+    arcs, through, opened = [], [], []
+    for i in range(1, n + 1):
+        left = n - i                    # points after this one
+        need = rank - len(through)
+        moves = []
+        if len(opened) + 1 + need <= left:
+            moves.append("open")
+        if opened and len(opened) - 1 + need <= left:
+            moves.append("close")
+        if not opened and need:
+            moves.append("through")
+        move = draw(st.sampled_from(moves))
+        if move == "open":
+            opened.append(i)
+        elif move == "close":
+            arcs.append((opened.pop(), i))
+        else:
+            through.append(i)
+    return arcs, through
+
+
+def joined(top, bottom):
+    """Blocks of the diagram with upper row `top` and lower row `bottom`."""
+    (up, ut), (lo, lt) = top, bottom
+    return ([(i, j) for i, j in up] + [(-i, -j) for i, j in lo]
+            + [(i, -j) for i, j in zip(ut, lt)])
+
+
+def ranks(n):
+    # all arcs (the lowest rank, the most loops), all through strands, mixed
+    return st.sampled_from([n % 2, n]) | st.sampled_from(range(n % 2, n + 1, 2))
+
+
+@st.composite
+def diagrams(draw, n):
+    rank = draw(ranks(n))
+    return joined(draw(rows(n, rank)), draw(rows(n, rank)))
+
+
+@DETERMINISTIC
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), diagrams(n), diagrams(n))))
+def test_compose_agrees_with_the_union_find_oracle(case):
+    n, blocks_a, blocks_b = case
+    t, loops = compose(make_tangle(n, blocks_a), make_tangle(n, blocks_b))
+    assert (as_blockset(t), loops) == naive_compose(n, blocks_a, blocks_b)
+
+
+@st.composite
+def shared_half_terms(draw, n):
+    """Terms built from few rows, so that many share an upper or lower half.
+
+    Each rank group joins every drawn top row with every drawn bottom row;
+    coefficients come from a small set, so products cancel often.
+    """
+    terms = {}
+    for rank in draw(st.lists(ranks(n), min_size=1, max_size=2)):
+        tops = draw(st.lists(rows(n, rank), min_size=2, max_size=3))
+        bottoms = draw(st.lists(rows(n, rank), min_size=2, max_size=3))
+        for top in tops:
+            for bottom in bottoms:
+                blocks = tuple(joined(top, bottom))
+                terms[blocks] = Fraction(
+                    draw(st.sampled_from([-2, -1, 1, 2, 3])),
+                    draw(st.sampled_from([1, 3])))
+    return terms
+
+
+@DETERMINISTIC
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), shared_half_terms(n),
+                        shared_half_terms(n))),
+       st.sampled_from([Fraction(2), Fraction(1, 3), Fraction(-3, 2)]))
+def test_alg_mul_agrees_with_the_fraction_double_loop(case, delta):
+    n, terms_a, terms_b = case
+
+    def element(terms):
+        return AlgebraElement(n, {make_tangle(n, blocks): c
+                                  for blocks, c in terms.items()})
+
+    got = alg_mul(element(terms_a), element(terms_b), delta)
+    assert ({as_blockset(t): c for t, c in got.terms.items()}
+            == naive_alg_mul(n, terms_a, terms_b, delta))
