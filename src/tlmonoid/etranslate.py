@@ -26,17 +26,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import AlphabetError
 from .relations import (
+    FAMILY_NAMES,
     Step,
     _dagger,
     mirror_steps,
     relation_by_id,
-    relation_index,
     reverse_steps,
     shift_steps,
 )
-from .words import Letter, Word, hooks_to_pairs, letter
+from .words import Letter, Word, _hat_indices, hat, hooks_to_pairs
 
 __all__ = ["xi_template", "e_certificate"]
 
@@ -89,46 +88,32 @@ class _EBuilder:
                 self.swap(start + t + r)
 
     def wh_contract(self, pos):
-        # E_i .. E_{n-1} E_{n-1} .. E_i  ->  E_i
-        i = self.word[pos]
-        if i == self.n - 1:
-            self.contract_e1(pos)
-        else:
-            self.wh_contract(pos + 1)
-            self.contract_e3(pos)
+        # E_i .. E_{n-1} E_{n-1} .. E_i  ->  E_i, from the middle outwards
+        top = pos + self.n - 1 - self.word[pos]
+        self.contract_e1(top)
+        for p in range(top - 1, pos - 1, -1):
+            self.contract_e3(p)
 
     def wh_expand(self, pos):
-        # E_i  ->  E_i .. E_{n-1} E_{n-1} .. E_i
-        i = self.word[pos]
-        if i == self.n - 1:
-            self.expand_e1(pos)
-        else:
-            self.expand_e3(pos, i + 1)
-            self.wh_expand(pos + 1)
+        # E_i  ->  E_i .. E_{n-1} E_{n-1} .. E_i, from the outside inwards
+        top = pos + self.n - 1 - self.word[pos]
+        for p in range(pos, top):
+            self.expand_e3(p, self.word[p] + 1)
+        self.expand_e1(top)
 
     def run(self, steps, offset=0):
-        xi = relation_index(self.n, "Xi")
         for st in steps:
-            rel = xi.get(st.rid)
-            if rel is None:
+            try:
+                rel = relation_by_id(self.n, st.rid)
+            except ValueError:
+                rel = None
+            if rel is None or rel.name not in FAMILY_NAMES["Xi"]:
                 raise RuntimeError(
                     f"{st.rid} is not an E relation at n={self.n}")
             lhs = tuple(c.index for c in rel.lhs)
             rhs = tuple(c.index for c in rel.rhs)
             src, dst = (lhs, rhs) if st.forward else (rhs, lhs)
             self._emit(st.pos + offset, st.rid, st.forward, src, dst)
-
-
-def _hat_indices(n: int, letters) -> list[int]:
-    out: list[int] = []
-    for c in letters:
-        if c.alphabet == "L":
-            out.extend(range(c.index, n))
-        elif c.alphabet == "R":
-            out.extend(range(n - 1, c.index - 1, -1))
-        else:
-            raise AlphabetError(f"no hat image for {c}")
-    return out
 
 
 # -- per-relation template builders (forward: hat(lhs) -> hat(rhs)) -----------
@@ -287,5 +272,4 @@ def _translate_certificate(w: Word, deriv):
         lr[p:p + k] = dst
         hl[p:p + k] = [n - c.index for c in dst]
 
-    end = tuple(letter("E", i) for i in _hat_indices(n, lr))
-    return steps, end
+    return steps, hat(Word(n, tuple(lr))).letters

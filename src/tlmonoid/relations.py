@@ -17,16 +17,17 @@ Family Omega lives on L u R and splits into
 so every step names a single unambiguous replacement).  R1-R3 are the
 dagger images of L1-L3: each side reversed, with L_i and R_i exchanged;
 they are built that way, and `mirror_steps` reflects whole derivations by
-the same rule.  Family Xi lives on
-the hook alphabet:
+the same rule.  Family Xi lives on the hook alphabet:
 
     E1(i):    E_i E_i     = E_i
     E2(i,j):  E_i E_j     = E_j E_i     (|i-j| > 1)
     E3(i,j):  E_i E_j E_i = E_i        (|i-j| = 1)
 
-Relations are instantiated eagerly per degree and cached, since the
-verification passes sweep them many times.  Powers in L3/R3 are stored as
-explicit letter repetitions so that positional matching works on words.
+`relation_by_id` is the one resolver of a step id, and a relation is in
+a checked family when its name is (`FAMILY_NAMES`).  Whole families, O(n^2)
+relations each, are built eagerly only to enumerate them.  Powers in L3/R3
+are stored as explicit letter repetitions so that positional matching works
+on words.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, NoMatch, ZeroDelta
-from .words import Letter, Word, evaluate, letter
+from .words import E as _E, L as _L, Letter, R as _R, Word, evaluate, letter
 
 __all__ = [
     "Relation",
@@ -53,9 +54,14 @@ __all__ = [
     "step_from_text",
     "twist_relations",
     "FAMILIES",
+    "FAMILY_NAMES",
 ]
 
 FAMILIES = ("OmegaL", "OmegaR", "Omega", "Xi")
+
+# the relation names of the two presentations a derivation is checked in
+FAMILY_NAMES = {"Omega": frozenset("L1 L2 L3 R1 R2 R3 RL1 RL2 RL3 A".split()),
+                "Xi": frozenset(("E1", "E2", "E3"))}
 
 
 @dataclass(frozen=True)
@@ -102,24 +108,17 @@ def reverse_steps(steps) -> list[Step]:
     return [_new(Step, (p, rid, not fwd)) for p, rid, fwd in reversed(steps)]
 
 
-def _L(i):
-    return letter("L", i)
-
-
-def _R(i):
-    return letter("R", i)
-
-
-def _E(i):
-    return letter("E", i)
-
-
 def _rid(name, args):
     return f"{name}({','.join(map(str, args))})" if args else name
 
 
 def _rel(name, args, lhs, rhs):
     return Relation(_rid(name, args), lhs, rhs, name, args)
+
+
+def _check_degree(n: int) -> None:
+    if n < 3:
+        raise DegreeTooSmall(f"presentations need n >= 3, got {n}")
 
 
 def _need(cond: bool, why: str) -> None:
@@ -271,8 +270,7 @@ def _xi(n):
 
 @lru_cache(maxsize=None)
 def _family(n: int, which: str) -> tuple[Relation, ...]:
-    if n < 3:
-        raise DegreeTooSmall(f"presentations need n >= 3, got {n}")
+    _check_degree(n)
     if which == "OmegaL":
         return tuple(_omega_L(n))
     if which == "OmegaR":
@@ -293,6 +291,7 @@ def relation_set(n: int, which: str) -> list[Relation]:
 
 @lru_cache(maxsize=None)
 def relation_index(n: int, which: str) -> dict[str, Relation]:
+    """The named family at degree n by id; for enumeration, not lookup."""
     return {r.rid: r for r in _family(n, which)}
 
 
@@ -310,9 +309,11 @@ _CONSTRUCTORS = {
 
 @lru_cache(maxsize=None)
 def relation_by_id(n: int, rid: str) -> Relation:
-    """Instantiate a relation from its canonical id, validating parameters."""
-    if n < 3:
-        raise DegreeTooSmall(f"presentations need n >= 3, got {n}")
+    """The relation a canonical id names at degree n: exactly the ids of
+    the Omega and Xi families.  Raises DegreeTooSmall for n < 3 and, for
+    any other id, ValueError naming it.
+    """
+    _check_degree(n)
     m = _RID_RE.match(rid)
     if not m:
         raise ValueError(f"malformed relation id {rid!r}")

@@ -34,14 +34,15 @@ from .errors import (
     AlphabetError,
     BadStep,
     DegreeMismatch,
-    DegreeTooSmall,
     EndMismatch,
     FamilyViolation,
 )
 from .relations import (
+    FAMILY_NAMES,
     Step,
+    _check_degree,
     mirror_steps,
-    relation_index,
+    relation_by_id,
     reverse_steps,
     shift_steps,
     step_from_text,
@@ -251,11 +252,6 @@ def _lrlr_rho(n, z):
 
 # -- the pipeline ----------------------------------------------------------------
 
-def _check_degree(n):
-    if n < 3:
-        raise DegreeTooSmall(f"rewriting needs degree >= 3, got {n}")
-
-
 def _separate_fold(n, letters, out, fold_memo):
     """Sweep the word; keep the lambda tuple and the reduced rho suffix."""
     x: tuple[int, ...] = ()
@@ -436,13 +432,15 @@ def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:
     Every step must name a relation of the declared family and match the
     word verbatim at its position; the replay must arrive at the recorded
     end word; and, independently, start and end must evaluate to the same
-    diagram.  Returns the end word.  Each distinct relation id is looked up
-    once per call and direction; every step is still matched and applied.
+    diagram.  Returns the end word.  Each distinct id is resolved once per
+    call and direction by `relation_by_id`, never through a family table,
+    and is in the family when its name is (`FAMILY_NAMES`).
     """
     family = relation_family or d.family
-    if family not in ("Omega", "Xi"):
+    names = FAMILY_NAMES.get(family)
+    if names is None:
         raise FamilyViolation(f"unknown relation family {family!r}")
-    index = relation_index(d.n, family)
+    _check_degree(d.n)
     # rid -> (side matched as a list, its length, side put in its place)
     fwd_sides, bwd_sides = {}, {}
     word = list(d.start)
@@ -450,8 +448,11 @@ def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:
         sides = fwd_sides if fwd else bwd_sides
         side = sides.get(rid)
         if side is None:
-            rel = index.get(rid)
-            if rel is None:
+            try:
+                rel = relation_by_id(d.n, rid)
+            except ValueError:
+                rel = None
+            if rel is None or rel.name not in names:
                 raise FamilyViolation(
                     f"step {i} uses {rid}, not a {family} relation at n={d.n}")
             src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)

@@ -23,7 +23,7 @@ import re
 from functools import lru_cache
 
 from .errors import CrossingError, DegreeError, DegreeMismatch, NotAMatching
-from .tuples import TnTuple, check_tuple
+from .tuples import TnTuple, _integer, check_tuple
 
 __all__ = [
     "Tangle",
@@ -135,10 +135,11 @@ def _check_planar(n: int, p: tuple[int, ...]) -> None:
 def make_tangle(n: int, blocks) -> Tangle:
     """Validating constructor.
 
-    Raises DegreeError for n < 1, NotAMatching unless every point of
-    {+-1, ..., +-n} occurs in exactly one two-point block, and CrossingError
-    (naming the two offending blocks) if any blocks interleave.  Blocks of
-    size other than two are rejected: this monoid has no wider blocks.
+    Raises DegreeError for n < 1, ValueError (naming it) for a point that is
+    not an integer, NotAMatching unless every point of {+-1, ..., +-n}
+    occurs in exactly one two-point block, and CrossingError (naming the two
+    offending blocks) if any blocks interleave.  Blocks of size other than
+    two are rejected: this monoid has no wider blocks.
     """
     if not isinstance(n, int) or n < 1:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
@@ -148,7 +149,7 @@ def make_tangle(n: int, blocks) -> Tangle:
         blk = tuple(blk)
         if len(blk) != 2:
             raise NotAMatching(f"block {blk} does not have exactly 2 points")
-        u, v = int(blk[0]), int(blk[1])
+        u, v = _integer(blk[0]), _integer(blk[1])
         for w in (u, v):
             if w == 0 or abs(w) > n:
                 raise NotAMatching(f"point {w} outside degree {n}")
@@ -373,8 +374,8 @@ def tangle_from_doc(doc: dict) -> Tangle:
         if key not in doc:
             raise ValueError(f"tangle document has no {key!r} key")
     try:
-        n = int(doc["n"])
-        blocks = [tuple(map(int, blk)) for blk in doc["blocks"]]
-    except TypeError as exc:
+        n = _integer(doc["n"])
+        blocks = [tuple(map(_integer, blk)) for blk in doc["blocks"]]
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed tangle document: {exc}") from None
     return make_tangle(n, blocks)

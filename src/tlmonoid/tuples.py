@@ -9,6 +9,7 @@ tuples T_n; this module validates, enumerates and serializes its members.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -42,16 +43,25 @@ class TnTuple:
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
+def _integer(v) -> int:
+    """`v` itself if it is an integer; a ValueError naming it otherwise."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{v!r} is not an integer") from None
+
+
 def check_tuple(n: int, entries) -> TnTuple:
     """Validate membership in T_n and return the tuple.
 
-    Raises NotDecreasing if the entries are not a strictly decreasing chain
-    of positive integers, and BoundViolation (with the offending 1-based
-    index i and the bound n - 2i + 1) if an entry is too large.
+    Raises ValueError for a degree or entry that is not an integer,
+    NotDecreasing unless the entries decrease strictly down to >= 1, and
+    BoundViolation (with the offending 1-based index i and the bound
+    n - 2i + 1) if an entry is too large.
     """
-    if n < 1:
+    if _integer(n) < 1:
         raise DegreeError(f"degree must be >= 1, got {n}")
-    ent = tuple(int(e) for e in entries)
+    ent = tuple(map(_integer, entries))
     for a, b in zip(ent, ent[1:]):
         if a <= b:
             raise NotDecreasing(f"{a} is not above {b}")

@@ -206,12 +206,17 @@ def build_tangle(x: TnTuple, y: TnTuple) -> Tangle:
     return evaluate(tuple_words(x)[0].concat(tuple_words(y)[1]))[0]
 
 
-def _hat_letter(n: int, l: Letter) -> tuple[Letter, ...]:
-    if l.alphabet == "L":
-        return tuple(letter("E", i) for i in range(l.index, n))
-    if l.alphabet == "R":
-        return tuple(letter("E", i) for i in range(n - 1, l.index - 1, -1))
-    raise AlphabetError(f"hat substitution is undefined on {l}")
+def _hat_indices(n: int, letters) -> list[int]:
+    """The hook indices of the hat image of lambda/rho `letters`."""
+    out: list[int] = []
+    for l in letters:
+        if l.alphabet == "L":
+            out.extend(range(l.index, n))
+        elif l.alphabet == "R":
+            out.extend(range(n - 1, l.index - 1, -1))
+        else:
+            raise AlphabetError(f"hat substitution is undefined on {l}")
+    return out
 
 
 def hat(w: Word) -> Word:
@@ -220,10 +225,7 @@ def hat(w: Word) -> Word:
     A monoid morphism that preserves evaluation; raises AlphabetError if the
     word already contains E letters.
     """
-    out: list[Letter] = []
-    for l in w.letters:
-        out.extend(_hat_letter(w.n, l))
-    return Word(w.n, tuple(out))
+    return Word(w.n, tuple(map(E, _hat_indices(w.n, w.letters))))
 
 
 def hooks_to_pairs(w: Word) -> Word:

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ import pytest
 from tlmonoid import (
     AlphabetError,
     Derivation,
+    Step,
     Word,
     boundary_tuples,
     check_derivation,
@@ -213,3 +215,19 @@ def test_broken_template_is_caught_under_optimize():
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "broken template RL2(2,2)"
+
+
+def test_builder_run_refuses_ids_outside_xi():
+    for rid in ("E1(01)", "E2(1,2)", "E9(1)", "L1(1)", "bogus"):
+        with pytest.raises(RuntimeError, match=re.escape(rid)):
+            _EBuilder(5, [1, 1]).run([Step(0, rid)])
+
+
+def test_large_degree_telescope_needs_no_recursion():
+    # the hook E1 at n = 1500 expands through a telescope of 2998 letters,
+    # one E3 per rung and one E1 at the top
+    n = 1500
+    _, canonical, d = normal_form_E(W(n, "E1"))
+    assert canonical == hat(W(n, "L1 R1"))
+    assert len(d.steps) == n - 1
+    assert check_derivation(d, "Xi") == canonical

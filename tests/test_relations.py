@@ -270,3 +270,63 @@ def test_mirror_twice_is_the_identity():
             length = len(d.start)
             once = mirror_steps(n, length, d.steps)
             assert mirror_steps(n, length, once) == list(d.steps)
+
+
+def _near_miss_ids(n):
+    # every relation name and an unknown one, arguments -1..n+1, each one-
+    # and two-argument id also with a leading zero or a space after the comma
+    args = range(-1, n + 2)
+    for name in ("L1", "L2", "L3", "R1", "R2", "R3", "RL1", "RL2", "RL3",
+                 "A", "E1", "E2", "E3", "Q1"):
+        yield name
+        for a in args:
+            yield f"{name}({a})"
+            yield f"{name}(0{a})"
+            for b in args:
+                yield f"{name}({a},{b})"
+                yield f"{name}({a}, {b})"
+
+
+def test_relation_by_id_decides_exactly_the_family_tables():
+    # relation_by_id is the resolver of every certificate step; the family
+    # tables are only enumerated, so the two must agree on every near miss
+    count = 0
+    for n in range(3, 14):
+        tables = {f: relation_index(n, f) for f in ("Omega", "Xi")}
+        known = {**tables["Omega"], **tables["Xi"]}
+        for rid in _near_miss_ids(n):
+            count += 1
+            try:
+                rel = relation_by_id(n, rid)
+            except ValueError:
+                rel = None
+            assert rel == known.get(rid), (n, rid)
+            w = (rel.lhs, rel.rhs) if rel else ((), ())
+            for family, table in tables.items():
+                d = Derivation(n, family, w[0], (Step(0, rid),), w[1])
+                if rid in table:
+                    assert check_derivation(d).letters == w[1]
+                else:
+                    with pytest.raises(FamilyViolation):
+                        check_derivation(d)
+    assert count == 43890
+
+
+def test_certificate_checks_build_no_family_table():
+    # n = 300 is used by no other test, so no family table of it exists yet
+    from tlmonoid import normal_form
+    from tlmonoid.relations import _family
+
+    before = _family.cache_info().currsize
+    n = 300
+    _, d = normal_form(word_from_text(n, "R1 R2 L3"))
+    assert check_derivation(d, "Omega") == Word(n, d.end)
+    _, canonical, xi = normal_form_E(word_from_text(n, "E1 E2"))
+    assert check_derivation(xi, "Xi") == canonical
+    assert _family.cache_info().currsize == before
+
+
+def test_zero_step_derivation_below_degree_three_is_refused():
+    d = Derivation(2, "Omega", (), (), ())
+    with pytest.raises(DegreeTooSmall):
+        check_derivation(d)

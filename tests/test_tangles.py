@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 
 import pytest
 
@@ -471,3 +473,29 @@ def test_doc_rejects_missing_keys_and_non_objects():
 def test_doc_rejects_malformed_fields_with_value_error(doc):
     with pytest.raises(ValueError, match="malformed tangle document"):
         tangle_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc, bad", [
+    ({"n": 2, "blocks": [[1.9, 2.2], [-1, -2]]}, "1.9"),
+    ({"n": 2, "blocks": [["1", 2], [-1, -2]]}, "'1'"),
+    ({"n": "2", "blocks": [[1, 2], [-1, -2]]}, "'2'"),
+    ({"n": 2.0, "blocks": [[1, 2], [-1, -2]]}, "2.0"),
+])
+def test_doc_refuses_non_integers(doc, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        tangle_from_doc(doc)
+
+
+def test_make_tangle_refuses_non_integer_points():
+    for blocks, bad in (([(1, 2.0), (-1, -2)], "2.0"),
+                        ([("1", 2), (-1, -2)], "'1'"),
+                        (["12", (-1, -2)], "'1'")):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            make_tangle(2, blocks)
+
+
+def test_valid_documents_still_parse(alpha):
+    assert tangle_from_doc({"n": 2, "blocks": [[1, 2], [-1, -2]]}) == \
+        make_tangle(2, [(1, 2), (-1, -2)])
+    doc = json.loads(json.dumps(tangle_to_doc(alpha)))
+    assert tangle_from_doc(doc) == alpha

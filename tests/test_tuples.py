@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from tlmonoid import (
@@ -95,3 +97,13 @@ def test_text_round_trip():
 def test_text_rejects_garbage():
     with pytest.raises(ValueError):
         tuple_from_text("x=(1,2)")
+
+
+@pytest.mark.parametrize("n, entries, bad", [
+    (5, [2.7], "2.7"),
+    (5, ["2"], "'2'"),
+    (5.0, [2], "5.0"),
+])
+def test_check_tuple_refuses_non_integers(n, entries, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        check_tuple(n, entries)
