@@ -24,7 +24,6 @@ from .errors import (
     NotAMatching,
     NotDecreasing,
     TLError,
-    ZeroDelta,
 )
 from .tuples import (
     TnTuple,
@@ -67,7 +66,6 @@ from .words import (
 from .relations import (
     Relation,
     Step,
-    TwistedRelation,
     apply_step,
     mirror_steps,
     relation_by_id,
@@ -75,7 +73,6 @@ from .relations import (
     relation_set,
     step_from_text,
     step_to_text,
-    twist_relations,
 )
 from .rewrite import (
     Derivation,
@@ -94,6 +91,7 @@ from .rewrite import (
 from .etranslate import xi_template
 from .algebra import (
     AlgebraElement,
+    TwistedRelation,
     add,
     alg_eval_word,
     alg_mul,
@@ -101,6 +99,7 @@ from .algebra import (
     element_to_text,
     one,
     scale,
+    twist_relations,
     verify_xi_prime,
     zero,
 )

@@ -92,10 +92,6 @@ class EndMismatch(TLError):
 
 # -- algebra and verification ------------------------------------------------
 
-class ZeroDelta(TLError):
-    """The twisted-algebra presentation requires a nonzero loop parameter."""
-
-
 class DegreeTooLarge(TLError):
     """Enumeration is guarded to small degrees."""
 

@@ -87,13 +87,6 @@ class _EBuilder:
             for r in range(length - 1, -1, -1):
                 self.swap(start + t + r)
 
-    def wh_contract(self, pos):
-        # E_i .. E_{n-1} E_{n-1} .. E_i  ->  E_i, from the middle outwards
-        top = pos + self.n - 1 - self.word[pos]
-        self.contract_e1(top)
-        for p in range(top - 1, pos - 1, -1):
-            self.contract_e3(p)
-
     def wh_expand(self, pos):
         # E_i  ->  E_i .. E_{n-1} E_{n-1} .. E_i, from the outside inwards
         top = pos + self.n - 1 - self.word[pos]

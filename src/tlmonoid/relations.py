@@ -34,17 +34,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DegreeTooSmall, NoMatch, ZeroDelta
-from .words import E as _E, L as _L, Letter, R as _R, Word, evaluate, letter
+from .errors import DegreeTooSmall, NoMatch
+from .words import E as _E, L as _L, Letter, R as _R, Word, letter
 
 __all__ = [
     "Relation",
     "Step",
-    "TwistedRelation",
     "relation_set",
     "relation_index",
     "relation_by_id",
@@ -52,7 +50,6 @@ __all__ = [
     "apply_step",
     "step_to_text",
     "step_from_text",
-    "twist_relations",
     "FAMILIES",
     "FAMILY_NAMES",
 ]
@@ -363,34 +360,3 @@ def step_from_text(text: str) -> Step:
         raise ValueError(f"bad step position {parts[0]!r}") from None
     return _new(Step, (pos, parts[1], parts[2] == "fwd"))
 
-
-# -- twisted relations ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwistedRelation:
-    """delta^{m(rhs)} * lhs = delta^{m(lhs)} * rhs, over an exact field."""
-
-    rid: str
-    lhs_coeff: Fraction
-    lhs: tuple[Letter, ...]
-    rhs_coeff: Fraction
-    rhs: tuple[Letter, ...]
-
-
-def twist_relations(n: int, delta) -> list[TwistedRelation]:
-    """The hook-algebra relation family obtained by loop-weighting Xi.
-
-    Each side is weighted by delta raised to the number of loops closed by
-    the opposite side, so only E1 picks up a nontrivial scalar and becomes
-    E_i E_i = delta * E_i.
-    """
-    delta = Fraction(delta)
-    if delta == 0:
-        raise ZeroDelta("the twisted presentation requires delta != 0")
-    out = []
-    for rel in _family(n, "Xi"):
-        m_lhs = evaluate(Word(n, rel.lhs))[1]
-        m_rhs = evaluate(Word(n, rel.rhs))[1]
-        out.append(TwistedRelation(
-            rel.rid, delta ** m_rhs, rel.lhs, delta ** m_lhs, rel.rhs))
-    return out

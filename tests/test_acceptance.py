@@ -173,10 +173,9 @@ def test_criterion_8_algebra():
     deltas = (Fraction(2), Fraction(-1), Fraction(1, 3))
     ok = True
     for n in range(3, 7):
-        for delta in deltas:
-            rep = verify_xi_prime(n, delta)
-            ok = ok and rep.passed
-            ok = ok and any(c.rid.startswith("E1") for c in rep.checks)
+        rep = verify_xi_prime(n)
+        ok = ok and rep.passed
+        ok = ok and any(c.rid.startswith("E1") for c in rep.checks)
     rng = random.Random(8)
 
     def rand_elem(n, ts):
@@ -196,8 +195,8 @@ def test_criterion_8_algebra():
                 triples += 1
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120
-    report(8, ok, f"loop-weighted relations for n<=6 at delta in "
-                  f"{{2,-1,1/3}} and {triples} associativity triples "
+    report(8, ok, f"loop-weighted relations for n<=6 for every delta and "
+                  f"{triples} associativity triples at delta in {{2,-1,1/3}} "
                   f"in {elapsed:.0f}s")
 
 

@@ -9,7 +9,6 @@ from tlmonoid import (
     CrossingError,
     DegreeMismatch,
     DegreeTooSmall,
-    ZeroDelta,
     add,
     alg_eval_word,
     alg_mul,
@@ -25,6 +24,8 @@ from tlmonoid import (
     word_from_text,
     zero,
 )
+
+from tlmonoid import tangles
 
 from oracles import as_blockset, naive_alg_mul
 
@@ -194,18 +195,33 @@ def test_distributivity_and_delta_naturality():
 
 
 def test_verify_xi_prime_passes():
-    for delta in (2, -1, Fraction(1, 3)):
-        rep = verify_xi_prime(5, delta)
-        assert rep.passed
-        assert all(c.passed for c in rep.checks)
-    assert verify_xi_prime(3, 2).passed
+    for n in range(3, 12):
+        rep = verify_xi_prime(n)
+        assert rep.passed and all(c.passed for c in rep.checks), n
+        assert rep.to_text().splitlines()[0] == \
+            f"xi-prime n={n}: identities in delta"
 
 
 def test_verify_xi_prime_rejects_zero_delta():
-    with pytest.raises(ZeroDelta):
-        verify_xi_prime(5, 0)
     with pytest.raises(DegreeTooSmall):
-        verify_xi_prime(2, 2)
+        verify_xi_prime(2)
+
+
+def test_verify_xi_prime_catches_a_miscounted_loop(monkeypatch):
+    # one loop too many on every product that closes one: only the E1
+    # relations close a loop, so exactly they must fail
+    stack = tangles._stack
+
+    def miscounting_stack(n, upper, lower):
+        t, m = stack(n, upper, lower)
+        return t, m + 1 if m else m
+
+    monkeypatch.setattr(tangles, "_stack", miscounting_stack)
+    rep = verify_xi_prime(5)
+    assert not rep.passed
+    failed = {c.rid for c in rep.checks if not c.passed}
+    assert failed == {c.rid for c in rep.checks if c.rid.startswith("E1(")}
+    assert failed == {f"E1({i})" for i in range(1, 5)}
 
 
 def test_element_text_round_trip():
@@ -227,6 +243,19 @@ def test_rationals_with_a_zero_denominator_raise_value_error():
     with pytest.raises(ValueError, match="1/0"):
         element_from_text("delta=2; n=5;\n"
                           "1/0 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
+
+
+def test_rationals_in_exponent_notation_raise_value_error():
+    from tlmonoid.algebra import rational
+    assert rational("0.5") == Fraction(1, 2)
+    for bad in ("1e400", "1E400", "2.5e-3"):
+        with pytest.raises(ValueError, match=bad):
+            rational(bad)
+    with pytest.raises(ValueError, match="1e400"):
+        element_from_text("delta=1e400; n=5;")
+    with pytest.raises(ValueError, match="1e400"):
+        element_from_text("delta=2; n=5;\n"
+                          "1e400 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
 
 
 def test_element_text_golden():

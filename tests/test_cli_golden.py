@@ -112,6 +112,8 @@ CASES = [
      "error: bad tuple token '(1,,2)'; expected like (5,3,2) or ()\n"),
     ("alg-not-pure-e", ["alg", "--n", "5", "L1", "--delta", "2"], 2, EMPTY,
      "error: alg_eval_word takes a pure E word\n"),
+    ("alg-delta-exponent", ["alg", "--n", "5", "E4 E4", "--delta", "1e400"], 2,
+     EMPTY, None),
     ("verify-degree-too-small", ["verify", "2"], 2, EMPTY,
      "error: verify_presentation covers 3 <= n <= 10\n"),
     ("verify-degree-too-large", ["verify", "11", "--format", "doc"], 2, EMPTY,

@@ -64,7 +64,7 @@ def test_telescope_expansion_round_trip():
     b.wh_expand(0)
     assert b.word == [3, 4, 5, 5, 4, 3]
     b2 = _EBuilder(6, list(b.word))
-    b2.wh_contract(0)
+    b2.run(reverse_steps(b.steps))
     assert b2.word == [3]
 
 

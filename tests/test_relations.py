@@ -1,5 +1,4 @@
 import re
-from fractions import Fraction
 
 import pytest
 
@@ -10,7 +9,6 @@ from tlmonoid import (
     NoMatch,
     Step,
     Word,
-    ZeroDelta,
     apply_step,
     check_derivation,
     evaluate,
@@ -169,17 +167,12 @@ def test_step_text_round_trip():
 
 
 def test_twist_weights_only_e1():
-    rels = {r.rid: r for r in twist_relations(5, 3)}
+    rels = {r.rid: r for r in twist_relations(5)}
     e1 = rels["E1(4)"]
-    assert (e1.lhs_coeff, e1.rhs_coeff) == (Fraction(1), Fraction(3))
+    assert (e1.lhs_power, e1.rhs_power) == (0, 1)
     for rid, r in rels.items():
         if rid.startswith("E2") or rid.startswith("E3"):
-            assert r.lhs_coeff == r.rhs_coeff == 1
-
-
-def test_twist_rejects_zero_delta():
-    with pytest.raises(ZeroDelta):
-        twist_relations(5, 0)
+            assert r.lhs_power == r.rhs_power == 0
 
 
 # -- the mirror rule -----------------------------------------------------------
