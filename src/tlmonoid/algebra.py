@@ -148,9 +148,9 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
     loops, delta^m = p^m q^(h-m) / q^h, so the sums are integers over one
     denominator until the end, and each term of `a` has its coefficient
     multiplied by every weight before the pairs are walked.  The sums are
-    keyed by the walk's unchecked partner arrays; each distinct array is
-    then checked once with `_check_planar`, a sum that cancels to zero
-    included, so no product escapes the check.
+    keyed by the walk's unchecked partner arrays; an array seen first is
+    checked by `_check_planar` on the points the walk wrote (the factors'
+    through-strand ends), a sum that later cancels to zero included.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
@@ -166,9 +166,11 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
         cw = [ca * w for w in weight]
         for lower, cb in ib:
             t, m = _stack(n, upper, lower)
-            sums[t] = sums.get(t, 0) + cw[m] * cb
-    for t in sums:
-        _check_planar(n, t)
+            s = sums.get(t)
+            if s is None:
+                _check_planar(n, t, upper[-1], lower[-1])
+                s = 0
+            sums[t] = s + cw[m] * cb
     denom = da * db * q ** h
     out = AlgebraElement(n)
     out.terms = {Tangle(n, t): Fraction(s, denom)

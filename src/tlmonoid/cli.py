@@ -23,11 +23,11 @@ import sys
 
 from .algebra import alg_eval_word, element_to_text, rational
 from .errors import TLError
+from .relations import _check_degree
 from .rewrite import (
     check_derivation,
     derivation_from_text,
     derivation_to_text,
-    equal_words,
     normal_form,
     normal_form_E,
 )
@@ -41,7 +41,8 @@ from .tangles import (
 )
 from .tuples import check_tuple
 from .verify import enumerate_TL, fuzz_words, verify_presentation
-from .words import build_tangle, evaluate, word_from_text, word_to_text
+from .words import (build_tangle, evaluate, hat, tuple_words, word_from_text,
+                    word_to_text)
 
 USAGE_ERROR = 2
 CHECK_FAILED = 3
@@ -78,30 +79,32 @@ def _cmd_eval(args):
 
 def _cmd_nf(args):
     w = word_from_text(args.n, args.word)
-    if w.letters and w.alphabets() <= {"E"}:
-        nf, canonical, deriv = normal_form_E(w)
-    else:
-        nf, deriv = normal_form(w)
-        canonical = nf.word
-    if args.cert:
+    _check_degree(args.n)
+    x, y = factorize(evaluate(w)[0])   # by the normal-form theorem
+    word = tuple_words(x)[0].concat(tuple_words(y)[1])
+    hooks = w.letters and w.alphabets() <= {"E"}
+    if args.cert:                       # rewriting runs only for a certificate
+        deriv = normal_form_E(w)[2] if hooks else normal_form(w)[1]
         with open(args.cert, "w", encoding="utf-8") as fh:
             fh.write(derivation_to_text(deriv))
+    canonical = hat(word) if hooks else word
     return (0,
-            lambda: {"x": list(nf.x.entries), "y": list(nf.y.entries),
-                     "word": word_to_text(nf.word),
+            lambda: {"x": list(x.entries), "y": list(y.entries),
+                     "word": word_to_text(word),
                      "canonical": word_to_text(canonical)},
-            lambda: f"x={nf.x} y={nf.y}")
+            lambda: f"x={x} y={y}")
 
 
 def _cmd_eq(args):
-    res = equal_words(word_from_text(args.n, args.word1),
-                      word_from_text(args.n, args.word2))
-    if res.equal:
+    w1, w2 = (word_from_text(args.n, w) for w in (args.word1, args.word2))
+    _check_degree(args.n)
+    witness = evaluate(w1)[0], evaluate(w2)[0]
+    if witness[0] == witness[1]:        # by the normal-form theorem
         return 0, lambda: {"equal": True}, lambda: "equal"
     return (1,
             lambda: {"equal": False,
-                     "witness": [tangle_to_doc(t) for t in res.witness]},
-            lambda: "\n".join(["not-equal", *map(tangle_to_text, res.witness)]))
+                     "witness": [tangle_to_doc(t) for t in witness]},
+            lambda: "\n".join(["not-equal", *map(tangle_to_text, witness)]))
 
 
 def _cmd_mul(args):

@@ -15,6 +15,9 @@ diagram on top of another, fuses the middle row, discards the closed loops
 that appear in the interior and reports how many were discarded; that count
 is the exponent used by the twisted algebra product.  `dagger` is the
 top-bottom reflection, which makes TL_n a regular *-monoid.
+
+A `Tangle` is never built from unchecked data: `make_tangle` and
+`words.evaluate` scan all 2n points, the product path only those it wrote.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class Tangle:
     `partners` is a tuple of 2n+1 ints indexed by encoded point (+i -> i,
     -i -> n+i; index 0 holds 0): entry e is the encoded point that e is
     joined to.  A matching has exactly one such array, so equality and
-    hashing compare the array alone.  Do not call the constructor with
+    hashing compare the array alone.  A Tangle is never built from
     unchecked data; `make_tangle` validates.
     """
 
@@ -92,33 +95,43 @@ def _block(n, p, q):
     return (e if e <= n else n - e), (f if f <= n else n - f)
 
 
-def _check_planar(n: int, p: tuple[int, ...]) -> None:
+def _check_planar(n: int, p: tuple[int, ...], tops=None, bottoms=None) -> None:
     """Raise CrossingError unless the strings of partners `p` are disjoint.
 
     One stack scan in boundary order: each point either opens a string or
-    closes the string opened last.  Only on failure is the pair to report
-    searched for: the first block in canonical order crossing a later one,
-    and the first such later block.  A block crosses the strings opened
-    after it and still open when it closes, so each opening position is
-    unlinked from a list of all of them as its string closes; the next one
-    in the list then opened first after it.
+    closes the string opened last.  It walks all 2n points, or only `tops`
+    then `bottoms` (descending encoded order): the through-strand ends of a
+    product's factors, all that `_stack` writes.  For planar factors that
+    suffices, as a top arc of one encloses none of its through points, so a
+    copied arc encloses only copied points.  A narrowed scan that fails or
+    leaves a string open is decided in full.  Only on failure is the pair
+    to report searched for: the first block in canonical order crossing a
+    later one, and the first such later block.  A block crosses the strings
+    opened after it and still open when it closes, so each opening position
+    is unlinked from a list of all of them as its string closes; the next
+    one in the list then opened first after it.
     """
-    stack = []                      # partners of the open strings
-    for e in range(1, n + 1):       # upper row: opens if partner right or below
+    if tops is None:
+        tops, bottoms = range(1, n + 1), range(2 * n, n, -1)
+    stack = [0]                     # a sentinel, then partners of open strings
+    for e in tops:                  # upper row: opens if partner right or below
         f = p[e]
         if f > e:
             stack.append(f)
         elif stack.pop() != e:
             break
     else:
-        for e in range(2 * n, n, -1):   # lower row: opens if partner is left
+        for e in bottoms:           # lower row: opens if partner is left
             f = p[e]
             if n < f < e:
                 stack.append(f)
             elif stack.pop() != e:
                 break
         else:
-            return
+            if len(stack) == 1:
+                return
+    if len(tops) + len(bottoms) < 2 * n:
+        return _check_planar(n, p)
     opens = [q for q, r in _boundary_scan(n, p) if r > q]
     nxt = dict(zip([0, *opens], [*opens, 2 * n + 1]))
     prv = dict(zip([*opens, 2 * n + 1], [0, *opens]))
@@ -181,46 +194,48 @@ def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
     Prepares `a` as an upper and `b` as a lower half, runs the one product
-    walk `_stack` on them and checks its array with `_check_planar`, so
+    walk `_stack` on them and checks the points it wrote with
+    `_check_planar`, the through-strand ends of both factors, so
     every tangle `compose` returns is checked.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
     n = a.n
-    out, loops = _stack(n, _upper_half(n, a.partners),
-                        _lower_half(n, b.partners))
-    _check_planar(n, out)
+    upper, lower = _upper_half(n, a.partners), _lower_half(n, b.partners)
+    out, loops = _stack(n, upper, lower)
+    _check_planar(n, out, upper[-1], lower[-1])
     return Tangle(n, out), loops
 
 
 def _upper_half(n: int, p: tuple[int, ...]):
     """The parts of partners `p` that `_stack` reads from an upper factor.
 
-    (top, through, arc_ends, low): the top row as a list indexed 0..n with
-    the through strands blanked to 0; the (top point, middle point) pairs
-    of the through strands; the left ends of the lower arcs, as middle
-    points; and `low`, the lower row indexed by middle point, holding the
-    partner middle point of an arc and minus the top point of a through
-    strand.
+    (top, through, arc_ends, low, tops): the top row as a list indexed
+    0..n with the through strands blanked to 0; the (top point, middle
+    point) pairs of the through strands; the left ends of the lower arcs,
+    as middle points; `low`, the lower row indexed by middle point, holding
+    the partner middle point of an arc and minus the top point of a through
+    strand; and the through strands' top points, for `_check_planar`.
     """
     top = [f if f <= n else 0 for f in p[:n + 1]]
     through = [(i, p[i] - n) for i in range(1, n + 1) if p[i] > n]
     low = [0, *(f - n if f > n else -f for f in p[n + 1:])]
     arc_ends = [m for m in range(1, n + 1) if low[m] > m]
-    return top, through, arc_ends, low
+    return top, through, arc_ends, low, [i for i, _ in through]
 
 
 def _lower_half(n: int, p: tuple[int, ...]):
     """The parts of partners `p` that `_stack` reads from a lower factor.
 
-    (p, bottom, through): the array itself; the bottom row as a list of n
-    entries for the encoded points n+1..2n, with the through strands
-    blanked to 0; and the (bottom point, middle point) pairs of the through
-    strands.
+    (p, bottom, through, bottoms): the array itself; the bottom row as a
+    list of n entries for the encoded points n+1..2n, with the through
+    strands blanked to 0; the (bottom point, middle point) pairs of the
+    through strands; and their bottom points in descending encoded order,
+    for `_check_planar`.
     """
     bottom = [f if f > n else 0 for f in p[n + 1:]]
     through = [(j, p[j]) for j in range(n + 1, 2 * n + 1) if p[j] <= n]
-    return p, bottom, through
+    return p, bottom, through, [j for j, _ in reversed(through)]
 
 
 def _stack(n: int, upper, lower):
@@ -236,8 +251,8 @@ def _stack(n: int, upper, lower):
     closed loop, which is traced and counted once.  Nothing is checked here:
     `compose` checks each result, and `alg_mul` each distinct one.
     """
-    top, through_a, arc_ends, low = upper
-    pb, bottom, through_b = lower
+    top, through_a, arc_ends, low, _ = upper
+    pb, bottom, through_b, _ = lower
     out = top + bottom
     seen = [False] * (n + 1)
     for i, m in through_a:

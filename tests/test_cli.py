@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -192,3 +193,66 @@ def test_dropped_and_missing_options_exit_two(argv, tmp_path, capsys):
 ])
 def test_bad_numbers_exit_two_before_any_output(argv, capsys):
     assert main_in_process(argv, capsys) == (2, "")
+
+
+def _random_word(rng, n, alphabet):
+    return " ".join(f"{rng.choice(alphabet)}{rng.randint(1, n - 1)}"
+                    for _ in range(rng.randint(0, 12))) or "1"
+
+
+def test_nf_and_eq_from_the_diagram_agree_with_rewriting(capsys):
+    # without --cert, nf and eq read their answers off the diagram; the
+    # rewriting normal forms must give the same fields and verdicts
+    from tlmonoid import (equal_words, normal_form, normal_form_E,
+                          word_from_text, word_to_text)
+    rng = random.Random(12)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        alphabet = rng.choice(["LR", "LRE", "E"])
+        text = _random_word(rng, n, alphabet)
+        w = word_from_text(n, text)
+        if w.letters and w.alphabets() <= {"E"}:
+            nf, canonical, _ = normal_form_E(w)
+        else:
+            nf, _ = normal_form(w)
+            canonical = nf.word
+        code, out = main_in_process(
+            ["nf", "--n", str(n), text, "--format", "doc"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "x": list(nf.x.entries), "y": list(nf.y.entries),
+            "word": word_to_text(nf.word),
+            "canonical": word_to_text(canonical)}
+        for other in (word_to_text(canonical),
+                      _random_word(rng, n, alphabet)):
+            equal = equal_words(w, word_from_text(n, other)).equal
+            code, out = main_in_process(["eq", "--n", str(n), text, other],
+                                        capsys)
+            assert (code, out.splitlines()[0]) == (
+                (0, "equal") if equal else (1, "not-equal"))
+            verdicts.add(equal)
+    assert verdicts == {True, False}
+
+
+def test_eq_and_nf_without_cert_do_not_rewrite(monkeypatch, capsys):
+    # W_24 = R1 R3 ... R47 L1 has an exponentially long certificate, and
+    # pushing L2500 through 1,200 rho letters is too deep to rewrite
+    from tlmonoid import cli
+
+    def refuse(*args):
+        raise AssertionError("rewriting without --cert")
+
+    monkeypatch.setattr(cli, "normal_form", refuse)
+    monkeypatch.setattr(cli, "normal_form_E", refuse)
+    w24 = " ".join(f"R{i}" for i in range(1, 48, 2)) + " L1"
+    assert main_in_process(["eq", "--n", "49", w24, w24], capsys) == (
+        0, "equal\n")
+    code, out = main_in_process(["nf", "--n", "49", w24], capsys)
+    assert (code, out) == (0, "x=(" + ",".join(map(str, range(48, 0, -2)))
+                           + ") y=(48," + ",".join(map(str, range(45, 0, -2)))
+                           + ")\n")
+    deep = " ".join(f"R{i}" for i in range(1, 2400, 2)) + " L2500"
+    code, out = main_in_process(["eq", "--n", "2501", deep, "L1"], capsys)
+    assert code == 1 and out.startswith("not-equal\n")
+    assert main_in_process(["eq", "--n", "2", "1", "1"], capsys) == (2, "")

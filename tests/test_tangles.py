@@ -32,6 +32,8 @@ from tlmonoid import (
     word_from_text,
 )
 
+from tlmonoid.tangles import _check_planar, _lower_half, _stack, _upper_half
+
 from oracles import as_blockset, naive_bl_br, naive_compose
 
 # the worked 9-strand pair used throughout: alpha has bl (5,3,2), br (7,4,1)
@@ -197,17 +199,58 @@ def word_tangles(n, count, rng):
 
 
 def test_compose_agrees_with_union_find_oracle():
+    # every pair up to degree 6, where the planarity scan of each product
+    # covers only the through-strand ends; random pairs above
     rng = random.Random(7)
-    pools = [all_tangles(n) for n in (1, 2, 3, 4, 5, 6, 9, 10)]
-    pools.append(word_tangles(33, 40, rng))
-    for ts in pools:
-        n = ts[0].n
-        for _ in range(120):
-            a, b = rng.choice(ts), rng.choice(ts)
-            got, m = compose(a, b)
-            want_blocks, want_loops = naive_compose(n, a.blocks, b.blocks)
-            assert as_blockset(got) == want_blocks
-            assert m == want_loops
+    pairs = [itertools.product(all_tangles(n), repeat=2) for n in range(1, 7)]
+    for ts in [all_tangles(9), all_tangles(10), word_tangles(33, 40, rng)]:
+        pairs.append([(rng.choice(ts), rng.choice(ts)) for _ in range(120)])
+    for a, b in itertools.chain(*pairs):
+        got, m = compose(a, b)
+        want_blocks, want_loops = naive_compose(a.n, a.blocks, b.blocks)
+        assert as_blockset(got) == want_blocks
+        assert m == want_loops
+
+
+def _swap_partners(p, u, v):
+    # u and v trade partners; the array stays an involution
+    q = list(p)
+    a, b = p[u], p[v]
+    q[u], q[b], q[v], q[a] = b, u, a, v
+    return tuple(q)
+
+
+def _crossing(n, p, *points):
+    # the blocks `_check_planar` names, or None when it accepts
+    try:
+        _check_planar(n, p, *points)
+    except CrossingError as exc:
+        return exc.block_a, exc.block_b
+    return None
+
+
+def test_narrowed_planarity_scan_agrees_with_the_full_scan():
+    # products damaged among the points the walk wrote, and between one of
+    # them and a copied point: the scan over the written points raises
+    # exactly when the full scan does, naming the same blocks
+    outcomes = {"rewired": set(), "copied": set()}
+    for n in range(2, 6):
+        ts = all_tangles(n)
+        for a, b in itertools.product(ts, repeat=2):
+            upper = _upper_half(n, a.partners)
+            lower = _lower_half(n, b.partners)
+            p, _ = _stack(n, upper, lower)
+            wrote = upper[-1] + lower[-1]
+            assert _crossing(n, p, upper[-1], lower[-1]) is None
+            for u, v in itertools.permutations(range(1, 2 * n + 1), 2):
+                if u not in wrote or p[u] == v:
+                    continue
+                q = _swap_partners(p, u, v)
+                want = _crossing(n, q)
+                assert _crossing(n, q, upper[-1], lower[-1]) == want
+                kind = "rewired" if v in wrote else "copied"
+                outcomes[kind].add(want is None)
+    assert outcomes == {"rewired": {True, False}, "copied": {True, False}}
 
 
 def test_associativity_and_loop_cocycle_small():
