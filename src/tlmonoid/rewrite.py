@@ -11,7 +11,8 @@ pipeline that finds it is:
      mirror of the L fold of its dagger image (`relations.mirror_steps`);
   2. separation: a mixed word is swept left to right, pushing each lambda
      letter through the rho suffix with the RL rules, the residue never
-     growing longer;
+     growing longer; a memo maps each (suffix, letter) push to a node that
+     points at its sub-pushes, and one walk makes each push step once;
   3. balancing: the shorter side is padded one letter at a time so the two
      tuples reach equal length, then re-folded.
 
@@ -41,6 +42,7 @@ from .relations import (
     FAMILY_NAMES,
     Step,
     _check_degree,
+    _new,
     mirror_steps,
     relation_by_id,
     reverse_steps,
@@ -148,38 +150,39 @@ def _insert_L(n, x, j, out):
     return _insert_L(n, x[:-1], j + 2, out) + (x[-1],)
 
 
-def _fold_L(n, x, j, out, memo):
-    """Fold L_j into the tuple x (a tuple of ints); returns the new tuple.
+def _fold_word(n, x, js, out, memo):
+    """Fold the letters L_j, j in `js`, into the tuple x; returns the result.
 
     `memo` maps (x, j) to (y, steps) for the folds already made by the
     calling derivation.  The block starts at position 0, so the steps are
     absolute and are appended to `out` as they are, on a hit as on a miss.
     """
-    hit = memo.get((x, j))
-    if hit is None:
-        steps: list[Step] = []
-        if x and j >= n - 2 * len(x):
-            _absorb_L(n, x, j, steps)
-            y = x
-        else:
-            y = _insert_L(n, x, j, steps)
-        hit = memo[x, j] = (y, tuple(steps))
-    out.extend(hit[1])
-    return hit[0]
+    get = memo.get
+    for j in js:
+        hit = get((x, j))
+        if hit is None:
+            steps: list[Step] = []
+            if x and j >= n - 2 * len(x):
+                _absorb_L(n, x, j, steps)
+                y = x
+            else:
+                y = _insert_L(n, x, j, steps)
+            hit = memo[x, j] = (y, tuple(steps))
+        out.extend(hit[1])
+        x = hit[0]
+    return x
 
 
 def _refold_R(n, idxs, out, offset, memo):
     """Fold the rho word R_idxs, which starts at `offset`; returns its indices.
 
     The R fold is the mirror of the L fold: the dagger image of R_idxs is
-    the lambda word over reversed(idxs), which `_fold_L` folds with the
+    the lambda word over reversed(idxs), which `_fold_word` folds with the
     derivation's fold memo, and `mirror_steps` reflects those steps back.
     Reflecting over `offset + len(idxs)` letters shifts them to the block.
     """
     steps: list[Step] = []
-    y: tuple[int, ...] = ()
-    for j in reversed(idxs):
-        y = _fold_L(n, y, j, steps, memo)
+    y = _fold_word(n, (), reversed(idxs), steps, memo)
     out.extend(mirror_steps(n, offset + len(idxs), steps))
     return y[::-1]
 
@@ -187,39 +190,53 @@ def _refold_R(n, idxs, out, offset, memo):
 # -- pushing a lambda letter through a rho word --------------------------------
 
 def _push(n, p, j, memo):
-    """P L_j ~ Lambda P' with only RL steps; returns (lambda, residue, steps).
+    """P L_j ~ Lambda P' with only RL steps; returns the push node.
 
-    `p` is a tuple of rho indices and all three results are tuples.
-    Positions are relative to the start of P.  The residue is never longer
-    than P, and strictly shorter whenever an RL2 case fires.
+    The node is (lambda, residue, pos, rid, first, second, d): its own step
+    is `rid` at `pos` (relative to P; rid None for a leaf, an empty P), and
+    `first` and `second` are the nodes of the (P[:-1], n-1) sub-push and of
+    the RL1/RL3 sub-push d letters right (None for RL2).  The residue is
+    never longer than P, and strictly shorter after an RL2 step.
 
-    RL1 and RL3 recurse twice, and the sub-pushes repeat many times within
-    one derivation, so `memo` maps (p, j) to the result of every push the
-    calling derivation has already made.  The caller owns it and drops it
-    when the derivation is complete.
+    RL1 and RL3 recurse twice and sub-pushes repeat, so `memo` maps (p, j)
+    to the node of every push the calling derivation has made; nodes share
+    sub-pushes and hold no step.  The build recurses once per rho letter.
     """
     hit = memo.get((p, j))
     if hit is not None:
         return hit
     if not p:
-        res = (j,), (), ()
+        node = (j,), (), 0, None, None, None, 0
     else:
-        q = p[:-1]
-        i = p[-1]
-        lam1, q1, s1 = _push(n, q, n - 1, memo)
+        q, i = p[:-1], p[-1]
+        first = _push(n, q, n - 1, memo)
         if abs(i - j) <= 1:
-            res = lam1, q1, (Step(len(q), f"RL2({i},{j})", True),) + s1
+            node = first[0], first[1], len(q), f"RL2({i},{j})", first, None, 0
         else:
             if j <= i - 2:
                 rid, j2, i2 = f"RL1({i},{j})", j, i - 2
             else:
                 rid, j2, i2 = f"RL3({i},{j})", j - 2, i
-            lam2, q2, s2 = _push(n, q1, j2, memo)
-            res = (lam1 + lam2, q2 + (i2,),
-                   (Step(len(q), rid, True),) + s1
-                   + tuple(shift_steps(s2, len(lam1))))
-    memo[p, j] = res
-    return res
+            second = _push(n, first[1], j2, memo)
+            node = (first[0] + second[0], second[1] + (i2,), len(q), rid,
+                    first, second, len(first[0]))
+    memo[p, j] = node
+    return node
+
+
+def _push_steps(node, off, out):
+    """Append a push node's steps to `out`, each once, `off` letters right.
+
+    The node's own step, its first sub-push, then its second at `off + d`.
+    """
+    stack = [(node, off)] if node[3] else []
+    while stack:
+        (_, _, pos, rid, first, second, d), off = stack.pop()
+        out.append(_new(Step, (pos + off, rid, True)))
+        if second and second[3]:
+            stack.append((second, off + d))
+        if first[3]:
+            stack.append((first, off))
 
 
 # -- padding the shorter side --------------------------------------------------
@@ -261,10 +278,9 @@ def _separate_fold(n, letters, out, fold_memo):
         if c.alphabet == "R":
             v = _refold_R(n, v + (c.index,), out, len(x), fold_memo)
         else:
-            lam, resid, ps = _push(n, v, c.index, push_memo)
-            out.extend(shift_steps(ps, len(x)))
-            for i in lam:
-                x = _fold_L(n, x, i, out, fold_memo)
+            lam, resid, *_ = node = _push(n, v, c.index, push_memo)
+            _push_steps(node, len(x), out)
+            x = _fold_word(n, x, lam, out, fold_memo)
             if resid == v[:len(resid)]:
                 v = resid   # untouched prefix of a reduced word stays reduced
             else:
@@ -285,7 +301,7 @@ def _balance(n, x, v, out, fold_memo):
         z = v[::-1]
         for _ in range(l - k):
             out.extend(shift_steps(_lrlr_rho(n, z), len(x)))
-            x = _fold_L(n, x, n - 2 * l + 1, out, fold_memo)
+            x = _fold_word(n, x, (n - 2 * l + 1,), out, fold_memo)
     return x, v
 
 
@@ -311,10 +327,7 @@ def reduce_one_sided(w: Word) -> tuple[TnTuple, Derivation]:
         raise AlphabetError("reduce_one_sided needs a pure L word or pure R word")
     steps: list[Step] = []
     if alphabets <= {"L"}:
-        x: tuple[int, ...] = ()
-        memo: dict = {}
-        for c in w.letters:
-            x = _fold_L(w.n, x, c.index, steps, memo)
+        x = _fold_word(w.n, (), (c.index for c in w.letters), steps, {})
         end = tuple(letter("L", i) for i in x)
     else:
         v = _refold_R(w.n, [c.index for c in w.letters], steps, 0, {})
@@ -334,10 +347,12 @@ def push_lambda(p: Word, j: int) -> tuple[Word, Word, Derivation]:
     _only(p.letters, {"R"}, "push_lambda")
     if not 1 <= j <= p.n - 1:
         raise IndexError(f"letter index {j} outside [1, {p.n - 1}]")
-    lam, resid, steps = _push(p.n, tuple(c.index for c in p.letters), j, {})
+    node = _push(p.n, tuple(c.index for c in p.letters), j, {})
+    steps: list[Step] = []
+    _push_steps(node, 0, steps)
     start = p.letters + (letter("L", j),)
-    u = tuple(letter("L", i) for i in lam)
-    v = tuple(letter("R", i) for i in resid)
+    u = tuple(letter("L", i) for i in node[0])
+    v = tuple(letter("R", i) for i in node[1])
     return (Word(p.n, u), Word(p.n, v),
             Derivation(p.n, "Omega", start, tuple(steps), u + v))
 
@@ -346,10 +361,10 @@ def separate(w: Word) -> tuple[Word, Word, Derivation]:
     """Split a mixed lambda/rho word as w ~ u v with u over L and v over R.
 
     Both parts are kept folded while sweeping, which bounds the rho suffix
-    by n // 2 letters and so the depth of the push recursion.  Its width is
-    not bounded: RL1 and RL3 each recurse twice, so one push revisits the
-    same (suffix, letter) states many times.  The sweep therefore keeps one
-    memo of push results and one of fold results for the whole word.
+    by n // 2 letters and so the push build, one level per rho letter.  RL1
+    and RL3 each recurse twice, so one memo for the whole word maps every
+    (suffix, letter) push to a node, and one walk makes each push step once,
+    at its absolute position; a second memo holds the folds.
     """
     _check_degree(w.n)
     _only(w.letters, {"L", "R"}, "separate")

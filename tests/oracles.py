@@ -2,8 +2,8 @@
 
 Everything here works on raw block lists and avoids the package's own code
 paths, so the tests compare two genuinely different computations.  The
-exceptions, `replay_translate` and `replay_check`, name the package results
-they build on.
+exceptions, `replay_translate`, `replay_check` and `flat_push`, name the
+package results they build on.
 """
 
 from fractions import Fraction
@@ -290,3 +290,43 @@ def replay_check(d, family):
     if evaluate(Word(d.n, d.start))[0] != evaluate(Word(d.n, d.end))[0]:
         raise EndMismatch("start and end words evaluate to different diagrams")
     return Word(d.n, d.end)
+
+
+def flat_push(n, p, j):
+    """The push of L_j leftwards through the rho indices `p`, as flat tuples.
+
+    The recursion that `rewrite._push` replaced with push nodes, kept as it
+    was: each state stores its own step tuple, built from its sub-pushes'
+    tuples with the second shifted by hand.  Returns (lambda, residue,
+    steps) with positions relative to the start of P; builds `Step`s.
+    """
+    from tlmonoid import Step
+
+    memo = {}
+
+    def push(p, j):
+        hit = memo.get((p, j))
+        if hit is not None:
+            return hit
+        if not p:
+            res = (j,), (), ()
+        else:
+            q = p[:-1]
+            i = p[-1]
+            lam1, q1, s1 = push(q, n - 1)
+            if abs(i - j) <= 1:
+                res = lam1, q1, (Step(len(q), f"RL2({i},{j})", True),) + s1
+            else:
+                if j <= i - 2:
+                    rid, j2, i2 = f"RL1({i},{j})", j, i - 2
+                else:
+                    rid, j2, i2 = f"RL3({i},{j})", j - 2, i
+                lam2, q2, s2 = push(q1, j2)
+                res = (lam1 + lam2, q2 + (i2,),
+                       (Step(len(q), rid, True),) + s1
+                       + tuple(Step(s.pos + len(lam1), s.rid, s.forward)
+                               for s in s2))
+        memo[p, j] = res
+        return res
+
+    return push(tuple(p), j)

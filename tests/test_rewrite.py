@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from tlmonoid import (
     word_from_text,
     word_to_text,
 )
+
+from oracles import flat_push
 
 
 def W(n, text):
@@ -129,6 +132,42 @@ def test_push_residue_never_grows():
             if any(s.rid.startswith("RL2") for s in d.steps):
                 assert len(resid) < len(p)
             check_derivation(d)
+
+
+def _agrees_with_flat_push(n, p, j):
+    lam, resid, d = push_lambda(W(n, " ".join(f"R{i}" for i in p) or "1"), j)
+    assert (tuple(c.index for c in lam.letters),
+            tuple(c.index for c in resid.letters),
+            d.steps) == flat_push(n, p, j)
+
+
+def test_push_agrees_with_flat_push_oracle():
+    # every rho word of length <= 4 at n = 4..7, then random longer words
+    for n in range(4, 8):
+        for length in range(5):
+            for p in itertools.product(range(1, n), repeat=length):
+                for j in range(1, n):
+                    _agrees_with_flat_push(n, p, j)
+    rng = random.Random(13)
+    for n in (13, 21):
+        for _ in range(200):
+            p = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 10))]
+            _agrees_with_flat_push(n, p, rng.randint(1, n - 1))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_push_through_alternate_odd_rho_letters(k):
+    # W_k = R1 R3 .. R(2k-1) L1 at n = 2k+1: each RL1/RL3 step pushes an
+    # L_{n-1} through the rest of the suffix, so T(k) = 2T(k-1) + 1 steps,
+    # a length random words never reach
+    n = 2 * k + 1
+    rho = " ".join(f"R{i}" for i in range(1, 2 * k, 2))
+    lam, resid, d = push_lambda(W(n, rho), 1)
+    assert len(d.steps) == 2 ** k - 1
+    assert all(s.rid.startswith("RL") for s in d.steps)
+    check_derivation(d)
+    _, nf_d = normal_form(W(n, rho + " L1"))
+    check_derivation(nf_d)
 
 
 def test_push_rejects_bad_input():
