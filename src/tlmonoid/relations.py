@@ -23,11 +23,12 @@ the same rule.  Family Xi lives on the hook alphabet:
     E2(i,j):  E_i E_j     = E_j E_i     (|i-j| > 1)
     E3(i,j):  E_i E_j E_i = E_i        (|i-j| = 1)
 
-`relation_by_id` is the one resolver of a step id, and a relation is in
-a checked family when its name is (`FAMILY_NAMES`).  Whole families, O(n^2)
-relations each, are built eagerly only to enumerate them.  Powers in L3/R3
-are stored as explicit letter repetitions so that positional matching works
-on words.
+Each relation's constructor is the one statement of its domain.
+`relation_by_id`, the one resolver of a step id, goes through it, and the
+families enumerate the same constructors, so the two agree by construction.
+A relation is in a checked family when its name is (`FAMILY_NAMES`).  Powers
+in L3/R3 are stored as explicit letter repetitions so that positional
+matching works on words.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .errors import DegreeTooSmall, NoMatch
@@ -54,11 +56,14 @@ __all__ = [
     "FAMILY_NAMES",
 ]
 
-FAMILIES = ("OmegaL", "OmegaR", "Omega", "Xi")
+# the relation names of each family, in enumeration order
+_MEMBERS = {"OmegaL": ("L1", "L2", "L3"), "OmegaR": ("R1", "R2", "R3"),
+            "Omega": tuple("L1 L2 L3 R1 R2 R3 RL1 RL2 RL3 A".split()),
+            "Xi": ("E1", "E2", "E3")}
+FAMILIES = tuple(_MEMBERS)
 
 # the relation names of the two presentations a derivation is checked in
-FAMILY_NAMES = {"Omega": frozenset("L1 L2 L3 R1 R2 R3 RL1 RL2 RL3 A".split()),
-                "Xi": frozenset(("E1", "E2", "E3"))}
+FAMILY_NAMES = {f: frozenset(_MEMBERS[f]) for f in ("Omega", "Xi")}
 
 
 @dataclass(frozen=True)
@@ -118,44 +123,39 @@ def _check_degree(n: int) -> None:
         raise DegreeTooSmall(f"presentations need n >= 3, got {n}")
 
 
-def _need(cond: bool, why: str) -> None:
-    # relation_by_id puts the relation id in front of the message
-    if not cond:
-        raise ValueError(why)
-
-
-# -- single-instance constructors; shared by family builders and id lookup ----
+# -- single-instance constructors: each returns None outside its domain ------
 
 def _rel_L1(n, i):
-    _need(1 <= i <= n - 1, f"index outside [1,{n - 1}]")
-    return _rel("L1", (i,), (_L(i), _L(n - 1)), (_L(i),))
+    if 1 <= i <= n - 1:
+        return _rel("L1", (i,), (_L(i), _L(n - 1)), (_L(i),))
 
 
 def _rel_L2(n, i, j):
-    _need(1 <= i <= j <= n - 3, "requires 1 <= i <= j <= n-3")
-    return _rel("L2", (i, j), (_L(i), _L(j)), (_L(j + 2), _L(i)))
+    if 1 <= i <= j <= n - 3:
+        return _rel("L2", (i, j), (_L(i), _L(j)), (_L(j + 2), _L(i)))
 
 
 def _rel_L3(n, i):
     k = n - 2 * i + 1
-    _need(i >= 1 and k - 1 >= 1, "requires 1 <= i <= (n-1)/2")
-    return _rel("L3", (i,), (_L(k),) * i + (_L(k - 1),), (_L(k),) * i)
+    if i >= 1 and k - 1 >= 1:
+        return _rel("L3", (i,), (_L(k),) * i + (_L(k - 1),), (_L(k),) * i)
 
 
 def _rel_RL1(n, i, j):
-    _need(1 <= j <= i - 2 and i <= n - 1, "requires j <= i-2")
-    return _rel("RL1", (i, j), (_R(i), _L(j)), (_L(n - 1), _L(j), _R(i - 2)))
+    if 1 <= j <= i - 2 and i <= n - 1:
+        return _rel("RL1", (i, j), (_R(i), _L(j)),
+                    (_L(n - 1), _L(j), _R(i - 2)))
 
 
 def _rel_RL2(n, i, j):
-    _need(1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) <= 1,
-          "requires |i-j| <= 1")
-    return _rel("RL2", (i, j), (_R(i), _L(j)), (_L(n - 1),))
+    if 1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) <= 1:
+        return _rel("RL2", (i, j), (_R(i), _L(j)), (_L(n - 1),))
 
 
 def _rel_RL3(n, i, j):
-    _need(1 <= i and i + 2 <= j <= n - 1, "requires j >= i+2")
-    return _rel("RL3", (i, j), (_R(i), _L(j)), (_L(n - 1), _L(j - 2), _R(i)))
+    if 1 <= i and i + 2 <= j <= n - 1:
+        return _rel("RL3", (i, j), (_R(i), _L(j)),
+                    (_L(n - 1), _L(j - 2), _R(i)))
 
 
 def _rel_A(n):
@@ -163,20 +163,18 @@ def _rel_A(n):
 
 
 def _rel_E1(n, i):
-    _need(1 <= i <= n - 1, f"index outside [1,{n - 1}]")
-    return _rel("E1", (i,), (_E(i), _E(i)), (_E(i),))
+    if 1 <= i <= n - 1:
+        return _rel("E1", (i,), (_E(i), _E(i)), (_E(i),))
 
 
 def _rel_E2(n, i, j):
-    _need(1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) > 1,
-          "requires |i-j| > 1")
-    return _rel("E2", (i, j), (_E(i), _E(j)), (_E(j), _E(i)))
+    if 1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) > 1:
+        return _rel("E2", (i, j), (_E(i), _E(j)), (_E(j), _E(i)))
 
 
 def _rel_E3(n, i, j):
-    _need(1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) == 1,
-          "requires |i-j| = 1")
-    return _rel("E3", (i, j), (_E(i), _E(j), _E(i)), (_E(i),))
+    if 1 <= i <= n - 1 and 1 <= j <= n - 1 and abs(i - j) == 1:
+        return _rel("E3", (i, j), (_E(i), _E(j), _E(i)), (_E(i),))
 
 
 # -- the mirror rule -------------------------------------------------------------
@@ -212,7 +210,10 @@ def _dagger(rel: Relation) -> Relation:
 
 
 def _mirrored(ctor):
-    return lambda n, *args: _dagger(ctor(n, *args))
+    def mirrored(n, *args):
+        rel = ctor(n, *args)
+        return None if rel is None else _dagger(rel)
+    return mirrored
 
 
 def mirror_steps(n: int, length: int, steps) -> list[Step]:
@@ -237,48 +238,32 @@ def mirror_steps(n: int, length: int, steps) -> list[Step]:
 
 
 # -- families --------------------------------------------------------------------
+# relation_by_id resolves an id through this table and the families enumerate
+# it, so the ids a certificate may use are exactly the family members.
 
-def _omega_L(n):
-    rels = [_rel_L1(n, i) for i in range(1, n)]
-    rels += [_rel_L2(n, i, j)
-             for j in range(1, n - 2) for i in range(1, j + 1)]
-    rels += [_rel_L3(n, i) for i in range(1, (n - 1) // 2 + 1)]
-    return rels
-
-
-def _omega_RL(n):
-    rels = [_rel_RL1(n, i, j) for i in range(3, n) for j in range(1, i - 1)]
-    rels += [_rel_RL2(n, i, j) for i in range(1, n)
-             for j in range(max(1, i - 1), min(n - 1, i + 1) + 1)]
-    rels += [_rel_RL3(n, i, j) for i in range(1, n - 2)
-             for j in range(i + 2, n)]
-    rels.append(_rel_A(n))
-    return rels
-
-
-def _xi(n):
-    rels = [_rel_E1(n, i) for i in range(1, n)]
-    rels += [_rel_E2(n, i, j) for i in range(1, n) for j in range(1, n)
-             if abs(i - j) > 1]
-    rels += [_rel_E3(n, i, j) for i in range(1, n) for j in range(1, n)
-             if abs(i - j) == 1]
-    return rels
+_CONSTRUCTORS = {
+    "L1": (1, _rel_L1), "L2": (2, _rel_L2), "L3": (1, _rel_L3),
+    "R1": (1, _mirrored(_rel_L1)), "R2": (2, _mirrored(_rel_L2)),
+    "R3": (1, _mirrored(_rel_L3)),
+    "RL1": (2, _rel_RL1), "RL2": (2, _rel_RL2), "RL3": (2, _rel_RL3),
+    "A": (0, _rel_A),
+    "E1": (1, _rel_E1), "E2": (2, _rel_E2), "E3": (2, _rel_E3),
+}
 
 
 @lru_cache(maxsize=None)
 def _family(n: int, which: str) -> tuple[Relation, ...]:
+    """Every member's constructor over all generator indices, in order."""
     _check_degree(n)
-    if which == "OmegaL":
-        return tuple(_omega_L(n))
-    if which == "OmegaR":
-        # R1-R3 are the dagger images of L1-L3, in the same order
-        return tuple(map(_dagger, _family(n, "OmegaL")))
-    if which == "Omega":
-        return (_family(n, "OmegaL") + _family(n, "OmegaR")
-                + tuple(_omega_RL(n)))
-    if which == "Xi":
-        return tuple(_xi(n))
-    raise ValueError(f"unknown relation family {which!r}; pick from {FAMILIES}")
+    if which not in _MEMBERS:
+        raise ValueError(
+            f"unknown relation family {which!r}; pick from {FAMILIES}")
+    rels = []
+    for name in _MEMBERS[which]:
+        arity, ctor = _CONSTRUCTORS[name]
+        rels += [r for args in product(range(1, n), repeat=arity)
+                 if (r := ctor(n, *args)) is not None]
+    return tuple(rels)
 
 
 def relation_set(n: int, which: str) -> list[Relation]:
@@ -293,15 +278,6 @@ def relation_index(n: int, which: str) -> dict[str, Relation]:
 
 
 _RID_RE = re.compile(r"^([A-Z]+[0-9]*)(?:\((\d+)(?:,(\d+))?\))?$")
-
-_CONSTRUCTORS = {
-    ("L1", 1): _rel_L1, ("L2", 2): _rel_L2, ("L3", 1): _rel_L3,
-    ("R1", 1): _mirrored(_rel_L1), ("R2", 2): _mirrored(_rel_L2),
-    ("R3", 1): _mirrored(_rel_L3),
-    ("RL1", 2): _rel_RL1, ("RL2", 2): _rel_RL2, ("RL3", 2): _rel_RL3,
-    ("E1", 1): _rel_E1, ("E2", 2): _rel_E2, ("E3", 2): _rel_E3,
-    ("A", 0): _rel_A,
-}
 
 
 @lru_cache(maxsize=None)
@@ -318,13 +294,13 @@ def relation_by_id(n: int, rid: str) -> Relation:
     args = tuple(int(g) for g in m.groups()[1:] if g is not None)
     if _rid(name, args) != rid:
         raise ValueError(f"non-canonical relation id {rid!r}")
-    ctor = _CONSTRUCTORS.get((name, len(args)))
-    if ctor is None:
+    arity, ctor = _CONSTRUCTORS.get(name, (None, None))
+    if arity != len(args):
         raise ValueError(f"unknown relation id {rid!r}")
-    try:
-        return ctor(n, *args)
-    except ValueError as exc:
-        raise ValueError(f"{_rid(name, args)}: {exc}") from None
+    rel = ctor(n, *args)
+    if rel is None:
+        raise ValueError(f"{rid}: outside its domain at n={n}")
+    return rel
 
 
 def apply_step(w: Word, s: Step) -> Word:

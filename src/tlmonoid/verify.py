@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
 from .errors import DegreeError, DegreeOutOfRange, DegreeTooLarge, TLError
-from .relations import apply_step, relation_set, Step
+from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
 from .tuples import enumerate_tuples
 from .words import Word, build_tangle, evaluate, hat, letter, tuple_words
@@ -85,6 +85,16 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
 
 # -- presentation checks ---------------------------------------------------------
 
+class _Report:
+    """A report dataclass; its document is its fields plus `passed`."""
+
+    def to_doc(self, timings: bool = False) -> dict:
+        doc = {**asdict(self), "passed": self.passed}
+        if not timings:
+            del doc["elapsed"]
+        return doc
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -94,7 +104,7 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(_Report):
     n: int
     checks: tuple[CheckResult, ...]
     elapsed: float
@@ -113,20 +123,6 @@ class PresentationReport:
         if timings:
             lines.append(f"elapsed: {self.elapsed:.3f}s")
         return "\n".join(lines)
-
-    def to_doc(self, timings: bool = False) -> dict:
-        doc = {
-            "n": self.n,
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed,
-                 "count": c.count, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
-        if timings:
-            doc["elapsed"] = self.elapsed
-        return doc
 
 
 def verify_presentation(n: int) -> PresentationReport:
@@ -200,7 +196,7 @@ class LaneStats:
 
 
 @dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(_Report):
     n: int
     seed: int
     count: int
@@ -230,23 +226,6 @@ class FuzzReport:
             lines.append(f"elapsed: {self.elapsed:.3f}s")
         return "\n".join(lines)
 
-    def to_doc(self, timings: bool = False) -> dict:
-        doc = {
-            "n": self.n, "seed": self.seed, "count": self.count,
-            "max_len": self.max_len, "passed": self.passed,
-            "lanes": [
-                {"alphabet": l.alphabet, "words": l.words,
-                 "nf_mismatches": l.nf_mismatches,
-                 "cert_failures": l.cert_failures}
-                for l in self.lanes
-            ],
-            "triples": self.triples,
-            "triple_failures": self.triple_failures,
-        }
-        if timings:
-            doc["elapsed"] = self.elapsed
-        return doc
-
 
 def _random_word(rng, n, alphabet, max_len) -> Word:
     length = rng.randint(0, max_len)
@@ -256,8 +235,6 @@ def _random_word(rng, n, alphabet, max_len) -> Word:
 
 def _mutate(rng, w: Word, rounds: int = 3) -> Word:
     """Apply a few random relation steps; the result stays equivalent."""
-    from .relations import relation_index
-
     idx = relation_index(w.n, "Omega")
     rids = sorted(idx)
     for _ in range(rounds):

@@ -206,6 +206,20 @@ def test_relation_name_and_args_match_the_id():
             assert rel.rid == (f"{rel.name}({args})" if rel.args else rel.name)
 
 
+def test_families_enumerate_in_constructor_argument_order():
+    assert [r.rid for r in relation_set(6, "OmegaL")] == [
+        "L1(1)", "L1(2)", "L1(3)", "L1(4)", "L1(5)",
+        "L2(1,1)", "L2(1,2)", "L2(1,3)", "L2(2,2)", "L2(2,3)", "L2(3,3)",
+        "L3(1)", "L3(2)"]
+
+
+def test_out_of_domain_ids_name_the_id_and_degree():
+    for rid in ("L2(3,2)", "L3(4)", "R3(4)", "RL1(2,1)", "E2(1,2)"):
+        with pytest.raises(ValueError) as exc:
+            relation_by_id(7, rid)
+        assert str(exc.value) == f"{rid}: outside its domain at n=7"
+
+
 def test_bad_r_id_names_the_r_id():
     for rid in ("R1(9)", "R2(3,2)", "R3(4)"):
         with pytest.raises(ValueError, match=rf"^{re.escape(rid)}: "):

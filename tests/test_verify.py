@@ -140,3 +140,9 @@ def test_report_text_has_no_timing_by_default():
     assert "elapsed" not in rep.to_text()
     assert "elapsed" in rep.to_text(timings=True)
     assert "elapsed" not in rep.to_doc()
+
+
+def test_timed_documents_add_only_the_elapsed_time():
+    for rep in (verify_presentation(3), fuzz_words(3, 5, max_len=6)):
+        assert rep.to_doc(timings=True) == {**rep.to_doc(),
+                                             "elapsed": rep.elapsed}
