@@ -50,12 +50,19 @@ class Tangle:
 
     `partners` is a tuple of 2n+1 ints indexed by encoded point (+i -> i,
     -i -> n+i; index 0 holds 0): entry e is the encoded point that e is
-    joined to.  A matching has exactly one such array, so equality and
-    hashing compare the array alone.  A Tangle is never built from
-    unchecked data; `make_tangle` validates.
+    joined to.  A matching has exactly one such array, so equality,
+    hashing, repr and pickling use the array alone.  A Tangle is never
+    built from unchecked data; `make_tangle` validates.
+
+    The private slots `_upper_half` and `_lower_half` hold the tangle
+    prepared as the upper and the lower factor of a product.  They stay
+    unset until `_prepared_upper` or `_prepared_lower` first asks, so
+    building a tangle costs nothing more; once set they are kept, as
+    tuples, for the life of the tangle (about 0.66 KB and 0.46 KB at
+    n = 10).
     """
 
-    __slots__ = ("n", "partners", "_hash")
+    __slots__ = ("n", "partners", "_hash", "_upper_half", "_lower_half")
 
     def __init__(self, n: int, partners: tuple[int, ...]):
         self.n = n
@@ -72,6 +79,9 @@ class Tangle:
 
     def __repr__(self):
         return f"Tangle[{tangle_to_text(self)}]"
+
+    def __reduce__(self):
+        return Tangle, (self.n, self.partners)
 
     @property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -193,49 +203,70 @@ def identity(n: int) -> Tangle:
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
-    Prepares `a` as an upper and `b` as a lower half, runs the one product
-    walk `_stack` on them and checks the points it wrote with
-    `_check_planar`, the through-strand ends of both factors, so
-    every tangle `compose` returns is checked.
+    Reads `a` as an upper and `b` as a lower half, each prepared once per
+    tangle and kept (`_prepared_upper`, `_prepared_lower`), runs the one
+    product walk `_stack` on them and checks the points it wrote with
+    `_check_planar`, the through-strand ends of both factors, so every
+    tangle `compose` returns is checked.  The returned tangle has no
+    halves prepared until it is itself a factor.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
     n = a.n
-    upper, lower = _upper_half(n, a.partners), _lower_half(n, b.partners)
+    upper, lower = _prepared_upper(a), _prepared_lower(b)
     out, loops = _stack(n, upper, lower)
     _check_planar(n, out, upper[-1], lower[-1])
     return Tangle(n, out), loops
 
 
+def _prepared_upper(t: Tangle):
+    """`_upper_half` of `t`, built on first use and kept in its slot."""
+    half = getattr(t, "_upper_half", None)
+    if half is None:
+        t._upper_half = half = _upper_half(t.n, t.partners)
+    return half
+
+
+def _prepared_lower(t: Tangle):
+    """`_lower_half` of `t`, built on first use and kept in its slot."""
+    half = getattr(t, "_lower_half", None)
+    if half is None:
+        t._lower_half = half = _lower_half(t.n, t.partners)
+    return half
+
+
 def _upper_half(n: int, p: tuple[int, ...]):
     """The parts of partners `p` that `_stack` reads from an upper factor.
 
-    (top, through, arc_ends, low, tops): the top row as a list indexed
+    (top, through, arc_ends, low, tops), all tuples: the top row indexed
     0..n with the through strands blanked to 0; the (top point, middle
     point) pairs of the through strands; the left ends of the lower arcs,
     as middle points; `low`, the lower row indexed by middle point, holding
     the partner middle point of an arc and minus the top point of a through
     strand; and the through strands' top points, for `_check_planar`.
+    Called only by `_prepared_upper`, which keeps the result on the tangle,
+    so nothing may write into it.
     """
-    top = [f if f <= n else 0 for f in p[:n + 1]]
-    through = [(i, p[i] - n) for i in range(1, n + 1) if p[i] > n]
-    low = [0, *(f - n if f > n else -f for f in p[n + 1:])]
-    arc_ends = [m for m in range(1, n + 1) if low[m] > m]
-    return top, through, arc_ends, low, [i for i, _ in through]
+    top = tuple([f if f <= n else 0 for f in p[:n + 1]])
+    through = tuple([(i, p[i] - n) for i in range(1, n + 1) if p[i] > n])
+    low = (0, *[f - n if f > n else -f for f in p[n + 1:]])
+    arc_ends = tuple([m for m in range(1, n + 1) if low[m] > m])
+    return top, through, arc_ends, low, tuple([i for i, _ in through])
 
 
 def _lower_half(n: int, p: tuple[int, ...]):
     """The parts of partners `p` that `_stack` reads from a lower factor.
 
-    (p, bottom, through, bottoms): the array itself; the bottom row as a
-    list of n entries for the encoded points n+1..2n, with the through
+    (p, bottom, through, bottoms), all tuples: the array itself; the bottom
+    row as n entries for the encoded points n+1..2n, with the through
     strands blanked to 0; the (bottom point, middle point) pairs of the
     through strands; and their bottom points in descending encoded order,
-    for `_check_planar`.
+    for `_check_planar`.  Called only by `_prepared_lower`, which keeps the
+    result on the tangle, so nothing may write into it.
     """
-    bottom = [f if f > n else 0 for f in p[n + 1:]]
-    through = [(j, p[j]) for j in range(n + 1, 2 * n + 1) if p[j] <= n]
-    return p, bottom, through, [j for j, _ in reversed(through)]
+    bottom = tuple([f if f > n else 0 for f in p[n + 1:]])
+    through = tuple([(j, p[j]) for j in range(n + 1, 2 * n + 1) if p[j] <= n])
+    return p, bottom, through, tuple([j for j, _ in reversed(through)])
 
 
 def _stack(n: int, upper, lower):
@@ -253,7 +284,7 @@ def _stack(n: int, upper, lower):
     """
     top, through_a, arc_ends, low, _ = upper
     pb, bottom, through_b, _ = lower
-    out = top + bottom
+    out = [*top, *bottom]
     seen = [False] * (n + 1)
     for i, m in through_a:
         if out[i]:

@@ -258,6 +258,22 @@ def test_rationals_in_exponent_notation_raise_value_error():
                           "1e400 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: AlgebraElement(5, {identity(5): x}),
+    lambda x: scale(x, one(5)),
+    lambda x: alg_mul(one(5), one(5), x),
+    lambda x: alg_eval_word(word_from_text(5, "E1 E1"), x),
+    lambda x: element_to_text(one(5), x),
+], ids=["AlgebraElement", "scale", "alg_mul", "alg_eval_word",
+        "element_to_text"])
+def test_exponent_notation_is_refused_at_every_entry_point(call):
+    # Fraction("1e10000000") would build a ten-million-digit integer
+    with pytest.raises(ValueError, match="1e10000000"):
+        call("1e10000000")
+    assert call("-1/3") == call(Fraction(-1, 3))
+    assert call(2) == call(Fraction(2))
+
+
 def test_element_text_golden():
     e = scale(2, hook(5, 4))
     assert element_to_text(e, 2) == (
@@ -282,7 +298,7 @@ def cancelling_pair(rng, basis):
             seen[prod] = s
 
 
-@pytest.mark.parametrize("delta", [0, 2, Fraction(1, 3), Fraction(-3, 2)])
+@pytest.mark.parametrize("delta", [0, 2, Fraction(1, 3), Fraction(-3, 2), 1])
 def test_alg_mul_matches_fraction_double_loop(delta):
     rng = random.Random(13)
     for n in (2, 4, 5, 7):
@@ -298,6 +314,9 @@ def test_alg_mul_matches_fraction_double_loop(delta):
             assert alg_mul(a, b, delta).is_zero()
             extra = dense_element(rng, n, basis, 3)
             cases += [(a, b), (a + extra, b), (b, a)]
+        # unit coefficients: many sums coincide and share one Fraction
+        units = AlgebraElement(n, dict.fromkeys(basis[:24], 1))
+        cases += [(units, units), (units, cases[0][1])]
         for a, b in cases:
             got = alg_mul(a, b, delta)
             want = naive_alg_mul(

@@ -1,17 +1,21 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import re
 
 import pytest
 
 from tlmonoid import (
+    AlgebraElement,
     CrossingError,
     DegreeError,
     DegreeMismatch,
     LengthMismatch,
     NotAMatching,
     Tangle,
+    alg_mul,
     boundary_tuples,
     build_tangle,
     check_tuple,
@@ -32,7 +36,8 @@ from tlmonoid import (
     word_from_text,
 )
 
-from tlmonoid.tangles import _check_planar, _lower_half, _stack, _upper_half
+from tlmonoid.tangles import (_check_planar, _lower_half, _prepared_lower,
+                              _prepared_upper, _stack, _upper_half)
 
 from oracles import as_blockset, naive_bl_br, naive_compose
 
@@ -210,6 +215,56 @@ def test_compose_agrees_with_union_find_oracle():
         want_blocks, want_loops = naive_compose(a.n, a.blocks, b.blocks)
         assert as_blockset(got) == want_blocks
         assert m == want_loops
+
+
+def _fresh(t):
+    # the same diagram as a new object, with no halves prepared
+    return Tangle(t.n, t.partners)
+
+
+def test_compose_agrees_with_the_oracle_before_and_after_halves_are_kept():
+    # on fresh copies a.b prepares a's upper and b's lower half and b.a the
+    # other two; a.b again, a.a and b.b then read only kept halves, and a
+    # fresh c.c prepares both halves of one tangle in one product
+    rng = random.Random(16)
+    pairs = [itertools.product(all_tangles(n), repeat=2) for n in range(1, 6)]
+    for n in (8, 9, 10):
+        ts = all_tangles(n)
+        pairs.append([(rng.choice(ts), rng.choice(ts)) for _ in range(100)])
+    for a, b in itertools.chain(*pairs):
+        a, b, c = _fresh(a), _fresh(b), _fresh(a)
+        for x, y in ((a, b), (b, a), (a, b), (a, a), (b, b), (c, c)):
+            got, m = compose(x, y)
+            assert (as_blockset(got), m) == naive_compose(x.n, x.blocks,
+                                                          y.blocks)
+
+
+def test_kept_halves_are_unchanged_by_products():
+    rng = random.Random(17)
+    for n in (5, 8):
+        ts = [_fresh(t) for t in rng.sample(all_tangles(n), 30)]
+        before = [copy.deepcopy((_prepared_upper(t), _prepared_lower(t)))
+                  for t in ts]
+        for a, b in itertools.product(ts, repeat=2):
+            compose(a, b)
+        e = AlgebraElement(n, dict.fromkeys(ts, 1))
+        alg_mul(e, e, 2)
+        assert [(t._upper_half, t._lower_half) for t in ts] == before
+
+
+def test_kept_halves_leave_value_and_formats_alone():
+    rng = random.Random(18)
+    for t in [*all_tangles(5), *word_tangles(10, 20, rng)]:
+        fresh, kept = _fresh(t), _fresh(t)
+        compose(kept, kept)
+        assert not hasattr(fresh, "_upper_half")
+        assert hasattr(kept, "_upper_half") and hasattr(kept, "_lower_half")
+        assert pickle.dumps(kept) == pickle.dumps(fresh)
+        for twin in (kept, pickle.loads(pickle.dumps(kept)), copy.copy(kept)):
+            assert twin == fresh and hash(twin) == hash(fresh)
+            assert repr(twin) == repr(fresh)
+            assert tangle_to_text(twin) == tangle_to_text(fresh)
+            assert compose(twin, t) == compose(_fresh(t), t)
 
 
 def _swap_partners(p, u, v):
