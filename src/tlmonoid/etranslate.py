@@ -18,24 +18,27 @@ templates at offsets.  The key ingredients:
 
 Templates are relative to position 0 and are cached per (degree, relation).
 Because hat is a monoid homomorphism, a template checked on hat(lhs) is
-valid on hat(u lhs v) once shifted by |hat(u)|; only the short L/R word is
-replayed during a translation, never the E-word.
+valid on hat(u lhs v) once shifted by |hat(u)|.  A translation replays,
+through `relations.replay`, the hook telescopes and the short L/R word,
+never a placed template.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import BadStep, FamilyViolation
 from .relations import (
-    FAMILY_NAMES,
     Step,
     _dagger,
+    _new,
     mirror_steps,
     relation_by_id,
+    replay,
     reverse_steps,
     shift_steps,
 )
-from .words import Letter, Word, _hat_indices, hat, hooks_to_pairs
+from .words import E as _E, Letter, Word, _hat_indices, hat, hooks_to_pairs
 
 __all__ = ["xi_template", "e_certificate"]
 
@@ -43,43 +46,44 @@ __all__ = ["xi_template", "e_certificate"]
 class _EBuilder:
     """Mutable E-word together with the steps that produced it.
 
-    Every step is matched against the word before it is applied.  Used for
-    the hook expansion and for building and checking templates; templates
-    are then placed by offset without a builder.
+    Every step is replayed by `relations.replay`, which matches it against
+    the word before applying it; `word` is a read-only view of the word's
+    indices.  Used for the hook expansion and for building and checking
+    templates; templates are then placed by offset without a builder.
     """
 
     def __init__(self, n: int, idxs):
         self.n = n
-        self.word = list(idxs)
+        self.letters = list(map(_E, idxs))
         self.steps: list[Step] = []
 
-    def _emit(self, pos, rid, forward, src, dst):
-        if pos < 0 or tuple(self.word[pos:pos + len(src)]) != src:
-            raise RuntimeError(f"{rid} does not match at {pos}")
-        self.steps.append(Step(pos, rid, forward))
-        self.word[pos:pos + len(src)] = dst
+    @property
+    def word(self) -> list[int]:
+        return [c.index for c in self.letters]
+
+    def run(self, steps, offset=0):
+        steps = shift_steps(steps, offset)
+        try:
+            replay(self.n, self.letters, steps, "Xi")
+        except BadStep as exc:
+            p, rid, _ = steps[exc.index]
+            raise RuntimeError(f"{rid} does not match at {p}") from None
+        except FamilyViolation as exc:
+            raise RuntimeError(str(exc)) from None
+        self.steps += steps
 
     def swap(self, pos):
-        i, j = self.word[pos], self.word[pos + 1]
+        i, j = self.letters[pos].index, self.letters[pos + 1].index
         if abs(i - j) <= 1:
             raise RuntimeError(f"cannot commute E{i} past E{j}")
-        self._emit(pos, f"E2({i},{j})", True, (i, j), (j, i))
+        self.run([Step(pos, f"E2({i},{j})")])
 
     def contract_e1(self, pos):
-        i = self.word[pos]
-        self._emit(pos, f"E1({i})", True, (i, i), (i,))
-
-    def expand_e1(self, pos):
-        i = self.word[pos]
-        self._emit(pos, f"E1({i})", False, (i,), (i, i))
+        self.run([Step(pos, f"E1({self.letters[pos].index})")])
 
     def contract_e3(self, pos):
-        i, j = self.word[pos], self.word[pos + 1]
-        self._emit(pos, f"E3({i},{j})", True, (i, j, i), (i,))
-
-    def expand_e3(self, pos, j):
-        i = self.word[pos]
-        self._emit(pos, f"E3({i},{j})", False, (i,), (i, j, i))
+        i, j = self.letters[pos].index, self.letters[pos + 1].index
+        self.run([Step(pos, f"E3({i},{j})")])
 
     def move_right(self, start, length, count):
         # walk the block [start, start+length) right across `count` letters
@@ -87,26 +91,17 @@ class _EBuilder:
             for r in range(length - 1, -1, -1):
                 self.swap(start + t + r)
 
-    def wh_expand(self, pos):
-        # E_i  ->  E_i .. E_{n-1} E_{n-1} .. E_i, from the outside inwards
-        top = pos + self.n - 1 - self.word[pos]
-        for p in range(pos, top):
-            self.expand_e3(p, self.word[p] + 1)
-        self.expand_e1(top)
-
-    def run(self, steps, offset=0):
-        for st in steps:
-            try:
-                rel = relation_by_id(self.n, st.rid)
-            except ValueError:
-                rel = None
-            if rel is None or rel.name not in FAMILY_NAMES["Xi"]:
-                raise RuntimeError(
-                    f"{st.rid} is not an E relation at n={self.n}")
-            lhs = tuple(c.index for c in rel.lhs)
-            rhs = tuple(c.index for c in rel.rhs)
-            src, dst = (lhs, rhs) if st.forward else (rhs, lhs)
-            self._emit(st.pos + offset, st.rid, st.forward, src, dst)
+    def wh_expand(self, *positions):
+        # E_i -> E_i .. E_{n-1} E_{n-1} .. E_i at each position, given right
+        # to left, from the outside inwards: the rung E3(k,k+1) backward at
+        # pos + k - i, then E1(n-1) backward; all in one replay
+        top, steps = self.n - 1, []
+        for pos in positions:
+            i = self.letters[pos].index
+            steps += [_new(Step, (pos + k - i, f"E3({k},{k + 1})", False))
+                      for k in range(i, top)]
+            steps.append(_new(Step, (pos + top - i, f"E1({top})", False)))
+        self.run(steps)
 
 
 # -- per-relation template builders (forward: hat(lhs) -> hat(rhs)) -----------
@@ -121,10 +116,8 @@ def _tmpl_L2(n, i, j):
     # built from hat(L_{j+2} L_i) and reversed at the end
     b = _EBuilder(n, list(range(j + 2, n)) + list(range(i, n)))
     b.move_right(0, n - j - 2, j - i + 1)
-    b.expand_e3(j - i, j + 1)
+    b.run([Step(j - i, f"E3({j},{j + 1})", False)])     # E_j -> E_j E_j+1 E_j
     b.move_right(j - i + 2, 1, n - j - 2)
-    if b.word != list(range(i, n)) + list(range(j, n)):
-        raise RuntimeError(f"broken template L2({i},{j})")
     return reverse_steps(b.steps)
 
 
@@ -146,8 +139,6 @@ def _tmpl_L3(n, i):
     b.contract_e3((i - 1) * seg)
     for t in range(i - 2, -1, -1):
         b.run(reverse_steps(inner), t * seg)
-    if b.word != list(range(k, n)) * i:
-        raise RuntimeError(f"broken template L3({i})")
     return b.steps
 
 
@@ -160,8 +151,6 @@ def _tmpl_RL2(n, i, j):
         t0 = min(i, j)
     for t in range(t0, n - 1):
         b.contract_e3(n - t - 2)
-    if b.word != [n - 1]:
-        raise RuntimeError(f"broken template RL2({i},{j})")
     return b.steps
 
 
@@ -239,30 +228,30 @@ def _translate_certificate(w: Word, deriv):
     # normal_form_E passes the one it already has, so it is computed once
     n = w.n
     b = _EBuilder(n, [c.index for c in w.letters])
-    for p in range(len(w.letters) - 1, -1, -1):
-        b.wh_expand(p)
+    b.wh_expand(*range(len(w.letters) - 1, -1, -1))
     if b.word != _hat_indices(n, deriv.start):
         raise RuntimeError("hook expansion does not reach the lifted word")
 
+    try:
+        lr = replay(n, list(deriv.start), deriv.steps, "Omega")
+    except BadStep as exc:
+        p, rid, _ = deriv.steps[exc.index]
+        raise RuntimeError(
+            f"{rid} does not match the lifted word at {p}") from None
+    # all steps match: place each template at its segment's hat offset
     steps = b.steps
-    lr = list(deriv.start)
-    hl = [n - c.index for c in lr]      # |hat(c)| = n - index, for L and R
-    placed: dict = {}                 # (rid, forward, offset) -> steps
+    hl = [n - c.index for c in deriv.start]    # |hat(c)| = n - index, L and R
+    placed: dict = {}   # (rid, forward, offset) -> (steps, |src|, hl of dst)
     for p, rid, fwd in deriv.steps:
-        rel = relation_by_id(n, rid)
-        src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)
-        k = len(src)
-        if p < 0 or tuple(lr[p:p + k]) != src:
-            raise RuntimeError(f"{rid} does not match the lifted word at {p}")
         offset = sum(hl[:p])
-        key = (rid, fwd, offset)
-        block = placed.get(key)
-        if block is None:
-            tmpl = xi_template(n, rid)
-            block = placed[key] = shift_steps(
-                tmpl if fwd else reverse_steps(tmpl), offset)
-        steps.extend(block)
-        lr[p:p + k] = dst
-        hl[p:p + k] = [n - c.index for c in dst]
+        hit = placed.get((rid, fwd, offset))
+        if hit is None:
+            rel, tmpl = relation_by_id(n, rid), xi_template(n, rid)
+            src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)
+            hit = placed[rid, fwd, offset] = (
+                shift_steps(tmpl if fwd else reverse_steps(tmpl), offset),
+                len(src), [n - c.index for c in dst])
+        steps.extend(hit[0])
+        hl[p:p + hit[1]] = hit[2]
 
     return steps, hat(Word(n, tuple(lr))).letters

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .errors import DegreeTooSmall, NoMatch
+from .errors import BadStep, DegreeTooSmall, FamilyViolation, NoMatch
 from .words import E as _E, L as _L, Letter, R as _R, Word, letter
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "relation_index",
     "relation_by_id",
     "mirror_steps",
+    "replay",
     "apply_step",
     "step_to_text",
     "step_from_text",
@@ -303,21 +304,57 @@ def relation_by_id(n: int, rid: str) -> Relation:
     return rel
 
 
+def replay(n: int, word: list, steps, family: str | None = None) -> list:
+    """Replay `steps` in place on the list of letters `word`; return it.
+
+    Each distinct (id, direction) is resolved once per call through
+    `relation_by_id`.  An id it refuses, or whose relation is outside
+    `family` (any family when None), raises FamilyViolation chained from the
+    refusal; a side that does not match verbatim raises BadStep with the
+    step index, chained from the NoMatch it describes.
+    """
+    names = _CONSTRUCTORS if family is None else FAMILY_NAMES.get(family)
+    if names is None:
+        raise FamilyViolation(f"unknown relation family {family!r}")
+    _check_degree(n)
+    # rid -> (side matched as a list, its length, side put in its place)
+    fwd_sides, bwd_sides = {}, {}
+    for i, (p, rid, fwd) in enumerate(steps):
+        sides = fwd_sides if fwd else bwd_sides
+        side = sides.get(rid)
+        if side is None:
+            try:
+                rel, cause = relation_by_id(n, rid), None
+            except ValueError as exc:
+                rel, cause = None, exc
+            if rel is None or rel.name not in names:
+                raise FamilyViolation(
+                    f"step {i} uses {rid}, not a {family or 'known'} "
+                    f"relation at n={n}") from cause
+            src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)
+            side = sides[rid] = (list(src), len(src), dst)
+        src, k, dst = side
+        if p < 0 or word[p:p + k] != src:
+            expected = " ".join(map(str, src))
+            found = " ".join(map(str, word[p:p + k])) or "1"
+            raise BadStep(i, f"{rid} expected {expected} at {p}, "
+                             f"found {found}") from NoMatch(p, expected, found)
+        word[p:p + k] = dst
+    return word
+
+
 def apply_step(w: Word, s: Step) -> Word:
-    """Apply one relation instance at an explicit position.
+    """Apply one relation instance at an explicit position, by `replay`.
 
     Forward replaces the left side by the right side; backward the reverse.
     Raises NoMatch (reporting expected versus found letters) if the matched
-    side does not occur verbatim at the position.
+    side does not occur verbatim at the position, and relation_by_id's
+    ValueError for an id it refuses.
     """
-    rel = relation_by_id(w.n, s.rid)
-    src, dst = (rel.lhs, rel.rhs) if s.forward else (rel.rhs, rel.lhs)
-    p = s.pos
-    found = w.letters[p:p + len(src)]
-    if p < 0 or found != src:
-        raise NoMatch(p, " ".join(map(str, src)) or "1",
-                      " ".join(map(str, found)) or "1")
-    return Word(w.n, w.letters[:p] + dst + w.letters[p + len(src):])
+    try:
+        return Word(w.n, tuple(replay(w.n, list(w.letters), (s,))))
+    except (BadStep, FamilyViolation) as exc:
+        raise exc.__cause__ from None
 
 
 # -- step text format: `<pos>:<RelId>:<fwd|bwd>` ------------------------------
@@ -326,13 +363,19 @@ def step_to_text(s: Step) -> str:
     return f"{s.pos}:{s.rid}:{'fwd' if s.forward else 'bwd'}"
 
 
-def step_from_text(text: str) -> Step:
-    parts = text.strip().split(":")
-    if len(parts) != 3 or parts[2] not in ("fwd", "bwd"):
-        raise ValueError(f"bad step text {text!r}")
-    try:
-        pos = int(parts[0])
-    except ValueError:
-        raise ValueError(f"bad step position {parts[0]!r}") from None
-    return _new(Step, (pos, parts[1], parts[2] == "fwd"))
+_WAYS = {"fwd": True, "bwd": False}
 
+
+def step_from_text(text: str) -> Step:
+    try:
+        pos, rid, way = text.strip().split(":")
+        forward = _WAYS[way]
+    except (ValueError, KeyError):
+        raise ValueError(f"bad step text {text!r}") from None
+    try:
+        p = int(pos)
+        if str(p) != pos:           # only the spelling str(int) gives
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad step position {pos!r}") from None
+    return _new(Step, (p, rid, forward))

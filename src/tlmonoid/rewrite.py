@@ -31,20 +31,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    AlphabetError,
-    BadStep,
-    DegreeMismatch,
-    EndMismatch,
-    FamilyViolation,
-)
+from .errors import AlphabetError, DegreeMismatch, EndMismatch
 from .relations import (
-    FAMILY_NAMES,
     Step,
     _check_degree,
     _new,
     mirror_steps,
-    relation_by_id,
+    replay,
     reverse_steps,
     shift_steps,
     step_from_text,
@@ -444,40 +437,12 @@ def equal_words(w1: Word, w2: Word) -> EqualityResult:
 def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:
     """Replay a derivation step by step and validate everything about it.
 
-    Every step must name a relation of the declared family and match the
-    word verbatim at its position; the replay must arrive at the recorded
-    end word; and, independently, start and end must evaluate to the same
-    diagram.  Returns the end word.  Each distinct id is resolved once per
-    call and direction by `relation_by_id`, never through a family table,
-    and is in the family when its name is (`FAMILY_NAMES`).
+    `relations.replay` checks that every step names a relation of the
+    declared family and matches the word verbatim at its position; then the
+    replay must arrive at the recorded end word and, independently, start
+    and end must evaluate to the same diagram.  Returns the end word.
     """
-    family = relation_family or d.family
-    names = FAMILY_NAMES.get(family)
-    if names is None:
-        raise FamilyViolation(f"unknown relation family {family!r}")
-    _check_degree(d.n)
-    # rid -> (side matched as a list, its length, side put in its place)
-    fwd_sides, bwd_sides = {}, {}
-    word = list(d.start)
-    for i, (p, rid, fwd) in enumerate(d.steps):
-        sides = fwd_sides if fwd else bwd_sides
-        side = sides.get(rid)
-        if side is None:
-            try:
-                rel = relation_by_id(d.n, rid)
-            except ValueError:
-                rel = None
-            if rel is None or rel.name not in names:
-                raise FamilyViolation(
-                    f"step {i} uses {rid}, not a {family} relation at n={d.n}")
-            src, dst = (rel.lhs, rel.rhs) if fwd else (rel.rhs, rel.lhs)
-            side = sides[rid] = (list(src), len(src), dst)
-        src, k, dst = side
-        if p < 0 or word[p:p + k] != src:
-            found = " ".join(map(str, word[p:p + k])) or "1"
-            raise BadStep(i, f"{rid} expected "
-                             f"{' '.join(map(str, src))} at {p}, found {found}")
-        word[p:p + k] = dst
+    word = replay(d.n, list(d.start), d.steps, relation_family or d.family)
     if tuple(word) != d.end:
         raise EndMismatch("replay did not reach the recorded end word")
     if evaluate(Word(d.n, d.start))[0] != evaluate(Word(d.n, d.end))[0]:
@@ -498,7 +463,7 @@ def derivation_to_text(d: Derivation) -> str:
                       f"end={word_to_text(d.end_word())}"]) + "\n"
 
 
-_DERIVATION_HEADER = re.compile(r"^n=(\d+);\s*family=(\w+)$")
+_DERIVATION_HEADER = re.compile(r"^n=(0|[1-9][0-9]*);\s*family=(\w+)$")
 
 
 def derivation_from_text(text: str, start: Word) -> Derivation:

@@ -165,6 +165,21 @@ def test_builder_mismatch_raises_runtime_error():
         _EBuilder(5, [1, 2]).swap(0)
 
 
+def test_lifted_replay_refuses_a_moved_step():
+    # the lifted certificate of E1 E3 E2 at n = 5 moved by one letter at
+    # its fifth step, RL3(1,4) at 2
+    w = W(5, "E1 E3 E2")
+    d = normal_form(hooks_to_pairs(w))[1]
+    assert d.steps[4] == Step(2, "RL3(1,4)")
+    steps = list(d.steps)
+    steps[4] = Step(3, "RL3(1,4)")
+    moved = Derivation(5, "Omega", d.start, tuple(steps), d.end)
+    with pytest.raises(RuntimeError,
+                       match=re.escape("RL3(1,4) does not match the lifted "
+                                       "word at 3")):
+        _translate_certificate(w, moved)
+
+
 def _drop_last_rl2_step(monkeypatch):
     build = etranslate._tmpl_RL2
     monkeypatch.setattr(etranslate, "_tmpl_RL2",

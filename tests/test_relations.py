@@ -12,6 +12,7 @@ from tlmonoid import (
     apply_step,
     check_derivation,
     evaluate,
+    hooks_to_pairs,
     letter,
     mirror_steps,
     normal_form_E,
@@ -24,6 +25,7 @@ from tlmonoid import (
     twist_relations,
     word_from_text,
 )
+from tlmonoid.etranslate import _EBuilder, _translate_certificate
 
 from oracles import dagger_letters
 
@@ -87,8 +89,11 @@ def test_relation_by_id_validates_parameters():
 
 def test_non_canonical_ids_are_rejected_everywhere():
     # one grammar: relation_by_id and apply_step reject what the family
-    # indexes, and so check_derivation, do not contain
+    # indexes, and so check_derivation, do not contain; the E builder and
+    # the lifted-word replay of the E translation refuse the same ids
     w = word_from_text(5, "L1 L4 E1 E3")
+    hook = word_from_text(5, "E1")
+    lifted = hooks_to_pairs(hook).letters
     for rid in ("L1(01)", "E2(1,03)", "RL2(2, 2)"):
         with pytest.raises(ValueError, match=re.escape(repr(rid))):
             relation_by_id(5, rid)
@@ -98,6 +103,11 @@ def test_non_canonical_ids_are_rejected_everywhere():
             d = Derivation(5, family, w.letters, (Step(0, rid),), w.letters)
             with pytest.raises(FamilyViolation, match=re.escape(rid)):
                 check_derivation(d)
+        with pytest.raises(RuntimeError, match=re.escape(rid)):
+            _EBuilder(5, [1, 1]).run([Step(0, rid)])
+        d = Derivation(5, "Omega", lifted, (Step(0, rid),), lifted)
+        with pytest.raises(FamilyViolation, match=re.escape(rid)):
+            _translate_certificate(hook, d)
 
 
 def test_step_is_an_immutable_value():
@@ -164,6 +174,12 @@ def test_step_text_round_trip():
     assert step_from_text(step_to_text(s)) == s
     with pytest.raises(ValueError):
         step_from_text("3:RL2(2,2):sideways")
+    # a position is read only in the spelling str(int) gives it
+    assert step_from_text("-1:A:fwd") == Step(-1, "A")
+    assert step_from_text("10:A:bwd") == Step(10, "A", False)
+    for pos in ("1_0", "+3", " 3 ", "03", "-0", "\u0663", "", "3.0"):
+        with pytest.raises(ValueError, match="bad step position"):
+            step_from_text(f"{pos}:A:fwd")
 
 
 def test_twist_weights_only_e1():

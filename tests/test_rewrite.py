@@ -356,3 +356,13 @@ def test_derivation_text_rejects_garbage():
         derivation_from_text("family=Omega", W(5, "1"))
     with pytest.raises(ValueError):
         derivation_from_text("n=5; family=Omega\n0:L1(1):fwd", W(5, "L1 L4"))
+    # the degree is read only in the spelling str(int) gives it
+    for n in ("05", "\u0665", "+5", "5.0"):
+        with pytest.raises(ValueError, match="bad derivation header"):
+            derivation_from_text(f"n={n}; family=Omega\nend=L1", W(5, "L1"))
+    # a step position that parses but lies before the word is refused by
+    # the replay
+    d = derivation_from_text("n=5; family=Omega\n-1:A:fwd\nend=R4",
+                             W(5, "L4"))
+    with pytest.raises(BadStep, match="step 0: A expected L4 at -1"):
+        check_derivation(d)
