@@ -116,16 +116,7 @@ def one(n: int) -> AlgebraElement:
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
-    terms = dict(a.terms)
-    for t, c in b.terms.items():
-        s = terms.get(t, Fraction(0)) + c
-        if s:
-            terms[t] = s
-        else:
-            terms.pop(t, None)
-    out = AlgebraElement(a.n)
-    out.terms = terms
-    return out
+    return AlgebraElement(a.n, [*a.terms.items(), *b.terms.items()])
 
 
 def scale(c, a: AlgebraElement) -> AlgebraElement:
@@ -314,7 +305,7 @@ def _fraction(x) -> Fraction:
     return rational(x) if isinstance(x, str) else Fraction(x)
 
 
-_ELEMENT_HEADER = re.compile(r"^delta=([^;]+);\s*n=(\d+);$")
+_ELEMENT_HEADER = re.compile(r"^delta=([^;]+);\s*n=(0|[1-9][0-9]*);$")
 
 
 def element_from_text(text: str) -> tuple[AlgebraElement, Fraction]:

@@ -39,9 +39,9 @@ from .tangles import (
     tangle_to_doc,
     tangle_to_text,
 )
-from .tuples import check_tuple
+from .tuples import check_tuple, entries_from_text
 from .verify import enumerate_TL, fuzz_words, verify_presentation
-from .words import (build_tangle, evaluate, hat, tuple_words, word_from_text,
+from .words import (balanced_word, build_tangle, evaluate, hat, word_from_text,
                     word_to_text)
 
 USAGE_ERROR = 2
@@ -52,17 +52,6 @@ INTERNAL_ERROR = 4
 def _read_tangle_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         return tangle_from_text(fh.read().strip())
-
-
-def _parse_entries(text):
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        body = text[1:-1].strip()
-        try:
-            return [int(tok) for tok in body.split(",")] if body else []
-        except ValueError:
-            pass
-    raise ValueError(f"bad tuple token {text!r}; expected like (5,3,2) or ()")
 
 
 def _tangle(t, **extra):
@@ -81,7 +70,7 @@ def _cmd_nf(args):
     w = word_from_text(args.n, args.word)
     _check_degree(args.n)
     x, y = factorize(evaluate(w)[0])   # by the normal-form theorem
-    word = tuple_words(x)[0].concat(tuple_words(y)[1])
+    word = balanced_word(x, y)
     hooks = w.letters and w.alphabets() <= {"E"}
     if args.cert:                       # rewriting runs only for a certificate
         deriv = normal_form_E(w)[2] if hooks else normal_form(w)[1]
@@ -123,8 +112,8 @@ def _cmd_factorize(args):
 
 
 def _cmd_build(args):
-    x = check_tuple(args.n, _parse_entries(args.x))
-    y = check_tuple(args.n, _parse_entries(args.y))
+    x = check_tuple(args.n, entries_from_text(args.x))
+    y = check_tuple(args.n, entries_from_text(args.y))
     return (0, *_tangle(build_tangle(x, y)))
 
 
@@ -160,10 +149,8 @@ def _cmd_alg(args):
 
 def _cmd_render(args):
     text = args.tangle
-    if not text.lstrip().startswith("n="):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
-    t = tangle_from_text(text)
+    t = (tangle_from_text(text) if text.lstrip().startswith("n=")
+         else _read_tangle_file(text))
     return 0, None, lambda: render_tangle(t)
 
 

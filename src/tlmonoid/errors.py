@@ -98,3 +98,7 @@ class DegreeTooLarge(TLError):
 
 class DegreeOutOfRange(TLError):
     """Degree outside the supported window for this check."""
+
+
+__all__ = [name for name, obj in globals().items()
+           if isinstance(obj, type) and issubclass(obj, TLError)]

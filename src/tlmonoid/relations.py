@@ -40,6 +40,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import BadStep, DegreeTooSmall, FamilyViolation, NoMatch
+from .tuples import _canonical_int
 from .words import E as _E, L as _L, Letter, R as _R, Word, letter
 
 __all__ = [
@@ -372,10 +373,7 @@ def step_from_text(text: str) -> Step:
         forward = _WAYS[way]
     except (ValueError, KeyError):
         raise ValueError(f"bad step text {text!r}") from None
-    try:
-        p = int(pos)
-        if str(p) != pos:           # only the spelling str(int) gives
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"bad step position {pos!r}") from None
+    p = _canonical_int(pos)
+    if p is None:
+        raise ValueError(f"bad step position {pos!r}")
     return _new(Step, (p, rid, forward))

@@ -45,7 +45,8 @@ from .relations import (
 )
 from .tangles import Tangle
 from .tuples import TnTuple, check_tuple
-from .words import Letter, Word, evaluate, hooks_to_pairs, letter, word_from_text, word_to_text
+from .words import (Letter, Word, balanced_word, evaluate, hooks_to_pairs,
+                    letter, word_from_text, word_to_text)
 
 __all__ = [
     "Derivation",
@@ -298,10 +299,6 @@ def _balance(n, x, v, out, fold_memo):
     return x, v
 
 
-def _nf_letters(n, x, v):
-    return tuple(letter("L", i) for i in x) + tuple(letter("R", i) for i in v)
-
-
 def _only(letters, allowed, what):
     for l in letters:
         if l.alphabet not in allowed:
@@ -386,10 +383,10 @@ def normal_form(w: Word) -> tuple[NormalForm, Derivation]:
     memo: dict = {}
     x, v = _separate_fold(w.n, letters, steps, memo)
     x, v = _balance(w.n, x, v, steps, memo)
-    end = _nf_letters(w.n, x, v)
-    nf = NormalForm(check_tuple(w.n, x), check_tuple(w.n, v[::-1]),
-                    Word(w.n, end))
-    return nf, Derivation(w.n, "Omega", letters, tuple(steps), end, note)
+    x, y = check_tuple(w.n, x), check_tuple(w.n, v[::-1])
+    end = balanced_word(x, y)
+    return (NormalForm(x, y, end),
+            Derivation(w.n, "Omega", letters, tuple(steps), end.letters, note))
 
 
 def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:

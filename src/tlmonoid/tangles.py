@@ -26,7 +26,7 @@ import re
 from functools import lru_cache
 
 from .errors import CrossingError, DegreeError, DegreeMismatch, NotAMatching
-from .tuples import TnTuple, _integer, check_tuple
+from .tuples import TnTuple, _canonical_int, _integer, check_tuple
 
 __all__ = [
     "Tangle",
@@ -382,7 +382,7 @@ def tangle_to_text(t: Tangle) -> str:
     return f"n={t.n}; blocks={body}"
 
 
-_BLOCK_TOKEN = re.compile(r"\((-?\d+),(-?\d+)\)")
+_BLOCK_TOKEN = re.compile(r"\(([^,()]*),([^,()]*)\)")
 
 
 def tangle_from_text(text: str) -> Tangle:
@@ -390,10 +390,9 @@ def tangle_from_text(text: str) -> Tangle:
     head, sep, body = text.partition(";")
     if not sep or not head.startswith("n="):
         raise ValueError(f"cannot parse tangle text: {text!r}")
-    try:
-        n = int(head[2:])
-    except ValueError:
-        raise ValueError(f"bad degree token {head!r}") from None
+    n = _canonical_int(head[2:])
+    if n is None:
+        raise ValueError(f"bad degree token {head!r}")
     body = body.strip()
     if not body.startswith("blocks="):
         raise ValueError(f"bad blocks token {body!r}")
@@ -402,9 +401,10 @@ def tangle_from_text(text: str) -> Tangle:
     pos = 0
     while pos < len(rest):
         m = _BLOCK_TOKEN.match(rest, pos)
-        if not m:
+        block = m and tuple(map(_canonical_int, m.groups()))
+        if not block or None in block:
             raise ValueError(f"bad block token at {rest[pos:pos+16]!r}")
-        blocks.append((int(m.group(1)), int(m.group(2))))
+        blocks.append(block)
         pos = m.end()
     return make_tangle(n, blocks)
 

@@ -26,6 +26,7 @@ __all__ = [
     "enumerate_tuples",
     "tuple_to_text",
     "tuple_from_text",
+    "entries_from_text",
 ]
 
 
@@ -104,7 +105,31 @@ def enumerate_tuples(n: int, k: int | None = None) -> list[TnTuple]:
 
 # -- text format: `n=<int>; x=(5,3,2)`, empty tuple printed `()` -------------
 
-_TUPLE_RE = re.compile(r"^n=(\d+);\s*x=\(([\d,\s]*)\)$")
+def _canonical_int(tok: str) -> int | None:
+    """The integer `tok` spells if `str(int)` spells it so, else None; every
+    text reader of the package holds its integers to this spelling."""
+    try:
+        return v if str(v := int(tok)) == tok else None
+    except ValueError:
+        return None
+
+
+def entries_from_text(text: str) -> list[int]:
+    """The entries of a tuple token like `(5,3,2)` or `()`.
+
+    Whitespace may surround an entry.  Raises ValueError naming the token.
+    """
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        body = text[1:-1].strip()
+        toks = body.split(",") if body else []
+        entries = [_canonical_int(t.strip()) for t in toks]
+        if None not in entries:
+            return entries
+    raise ValueError(f"bad tuple token {text!r}; expected like (5,3,2) or ()")
+
+
+_TUPLE_RE = re.compile(r"^n=([^;]*);\s*x=(\(.*\))$")
 
 
 def tuple_to_text(x: TnTuple) -> str:
@@ -113,9 +138,7 @@ def tuple_to_text(x: TnTuple) -> str:
 
 def tuple_from_text(text: str) -> TnTuple:
     m = _TUPLE_RE.match(text.strip())
-    if not m:
+    n = m and _canonical_int(m.group(1))
+    if n is None:
         raise ValueError(f"cannot parse tuple text: {text!r}")
-    n = int(m.group(1))
-    body = m.group(2).strip()
-    entries = [int(tok) for tok in body.split(",")] if body else []
-    return check_tuple(n, entries)
+    return check_tuple(n, entries_from_text(m.group(2)))

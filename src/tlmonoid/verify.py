@@ -20,7 +20,7 @@ from .errors import DegreeError, DegreeOutOfRange, DegreeTooLarge, TLError
 from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
 from .tuples import enumerate_tuples
-from .words import Word, build_tangle, evaluate, hat, letter, tuple_words
+from .words import Word, balanced_word, build_tangle, evaluate, hat, letter
 from .rewrite import check_derivation, equal_words, normal_form, normal_form_E
 
 __all__ = [
@@ -152,8 +152,7 @@ def verify_presentation(n: int) -> PresentationReport:
         tups = enumerate_tuples(n, k)
         for x in tups:
             for y in tups:
-                lam, rho = tuple_words(x), tuple_words(y)[1]
-                t, _ = evaluate(lam[0].concat(rho))
+                t, _ = evaluate(balanced_word(x, y))
                 if t in seen:
                     duplicates += 1
                 seen[t] = (x.entries, y.entries)
@@ -163,14 +162,8 @@ def verify_presentation(n: int) -> PresentationReport:
         duplicates == 0 and surjective, len(seen),
         f"catalan={catalan(n)}"))
 
-    missed_e = 0
-    for t in tangles:
-        x, y = factorize(t)
-        lam, _ = tuple_words(x)
-        _, rho = tuple_words(y)
-        ew = hat(lam.concat(rho))
-        if evaluate(ew)[0] != t:
-            missed_e += 1
+    missed_e = sum(1 for t in tangles
+                   if evaluate(hat(balanced_word(*factorize(t))))[0] != t)
     checks.append(CheckResult(
         "every diagram is an E-word image", missed_e == 0, len(tangles)))
 

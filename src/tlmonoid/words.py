@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AlphabetError, DegreeMismatch, LengthMismatch
 from .tangles import Tangle, _check_planar, identity
-from .tuples import TnTuple
+from .tuples import TnTuple, _canonical_int
 
 __all__ = [
     "Letter",
@@ -36,6 +36,7 @@ __all__ = [
     "hat",
     "hooks_to_pairs",
     "tuple_words",
+    "balanced_word",
 ]
 
 # the alphabet of each generator kind `generator` accepts
@@ -127,10 +128,10 @@ def word_from_text(n: int, text: str) -> Word:
         return Word(n, ())
     letters = []
     for tok in toks:
-        head = tok[:1].upper()
-        if head not in _ALPHABETS or not tok[1:].isdigit():
+        head, i = tok[:1].upper(), _canonical_int(tok[1:])
+        if head not in _ALPHABETS or i is None or i < 0:
             raise ValueError(f"bad word token {tok!r}")
-        letters.append(letter(head, int(tok[1:])))
+        letters.append(letter(head, i))
     return Word(n, tuple(letters))
 
 
@@ -191,19 +192,27 @@ def generator(n: int, kind: str, i: int) -> Tangle:
     return evaluate(Word(n, (letter(alphabet, i),)))[0]
 
 
-def build_tangle(x: TnTuple, y: TnTuple) -> Tangle:
-    """Evaluate the balanced generator word for the pair (x, y).
+def balanced_word(x: TnTuple, y: TnTuple) -> Word:
+    """The balanced word L_x R_y of a pair of tuples of one length.
 
-    The word is the lambda letters in entry order of x, then the rho
-    letters in reversed entry order of y (`tuple_words`).  The result is
-    the unique tangle with bl = x and br = y and rank n - 2|x|; the tests
-    check this for every balanced pair up to n = 8.
+    The lambda letters in entry order of x, then the rho letters in
+    reversed entry order of y; the normal form of every word is one.
     """
     if x.n != y.n:
         raise DegreeMismatch(f"degrees {x.n} and {y.n} differ")
     if len(x) != len(y):
         raise LengthMismatch(f"|x|={len(x)} but |y|={len(y)}")
-    return evaluate(tuple_words(x)[0].concat(tuple_words(y)[1]))[0]
+    return Word(x.n, tuple(letter("L", i) for i in x.entries)
+                + tuple(letter("R", i) for i in reversed(y.entries)))
+
+
+def build_tangle(x: TnTuple, y: TnTuple) -> Tangle:
+    """Evaluate the balanced word L_x R_y (`balanced_word`).
+
+    The result is the unique tangle with bl = x and br = y and rank
+    n - 2|x|; the tests check this for every balanced pair up to n = 8.
+    """
+    return evaluate(balanced_word(x, y))[0]
 
 
 def _hat_indices(n: int, letters) -> list[int]:
@@ -248,6 +257,5 @@ def tuple_words(x: TnTuple) -> tuple[Word, Word]:
 
     The empty tuple maps to two empty words.
     """
-    lam = Word(x.n, tuple(letter("L", i) for i in x.entries))
-    rho = Word(x.n, tuple(letter("R", i) for i in reversed(x.entries)))
-    return lam, rho
+    w, k = balanced_word(x, x).letters, len(x)
+    return Word(x.n, w[:k]), Word(x.n, w[k:])

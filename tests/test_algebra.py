@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,19 @@ def test_rationals_with_a_zero_denominator_raise_value_error():
     with pytest.raises(ValueError, match="1/0"):
         element_from_text("delta=2; n=5;\n"
                           "1/0 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
+
+
+# every integer is read only in the spelling `str(int)` gives
+@pytest.mark.parametrize("text, token", [
+    ("delta=2; n=\u0662;", "n=\u0662"),
+    ("delta=2; n=02;", "n=02"),
+    ("delta=2; n=+2;", "n=+2"),
+    ("delta=2; n=2;\n1 * n=02; blocks=(1,2)(-1,-2)", "n=02"),
+    ("delta=2; n=2;\n1 * n=2; blocks=(01,2)(-1,-2)", "(01,2)"),
+])
+def test_element_from_text_refuses_non_canonical_integers(text, token):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        element_from_text(text)
 
 
 def test_rationals_in_exponent_notation_raise_value_error():

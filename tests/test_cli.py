@@ -133,6 +133,29 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+# every integer is read only in the spelling `str(int)` gives
+@pytest.mark.parametrize("argv, token", [
+    (["build", "--n", "5", "(+5, 3,2)", "()"], "'(+5, 3,2)'"),
+    (["build", "--n", "5", "(3)", "(03)"], "'(03)'"),
+    (["build", "--n", "5", "(\u0663)", "(3)"], "'(\u0663)'"),
+    (["nf", "--n", "12", "L03 R2"], "'L03'"),
+    (["eq", "--n", "12", "L1", "L\u0663"], "'L\u0663'"),
+    (["eval", "--n", "5", "L\u00b2"], "'L\u00b2'"),
+    (["render", "n=02; blocks=(1,2)(-1,-2)"], "'n=02'"),
+])
+def test_non_canonical_integers_exit_two_naming_the_token(argv, token,
+                                                          capsys):
+    from tlmonoid import cli
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and token in err
+
+
+def test_build_reads_space_around_tuple_entries():
+    code, out, _ = run_cli("build", "--n", "9", "( 5, 3 ,2 )", "(7,4,1)")
+    assert (code, out.strip()) == (0, ALPHA)
+
+
 def test_unexpected_exception_exits_four(monkeypatch, capsys):
     from tlmonoid import cli
 

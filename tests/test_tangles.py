@@ -95,6 +95,23 @@ def test_crossing_error_names_first_crossing_pair():
     assert (exc.value.block_a, exc.value.block_b) == ((1, 4), (2, 5))
 
 
+# every integer is read only in the spelling `str(int)` gives
+@pytest.mark.parametrize("text, token", [
+    ("n=02; blocks=(1,2)(-1,-2)", "n=02"),
+    ("n=\u0662; blocks=(1,2)(-1,-2)", "n=\u0662"),
+    ("n=+2; blocks=(1,2)(-1,-2)", "n=+2"),
+    ("n=2; blocks=(01,2)(-1,-2)", "(01,2)"),
+    ("n=2; blocks=(1,2)(-01,-2)", "(-01,-2)"),
+    ("n=2; blocks=(+1,2)(-1,-2)", "(+1,2)"),
+    ("n=2; blocks=(1,2)(-1,-\u0662)", "(-1,-\u0662)"),
+    ("n=2; blocks=(1,2)(-0,-2)", "(-0,-2)"),
+    ("n=2; blocks=(1, 2)(-1,-2)", "(1, 2)"),
+])
+def test_tangle_from_text_refuses_non_canonical_integers(text, token):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        tangle_from_text(text)
+
+
 def test_make_tangle_rejects_huge_degree_without_allocating():
     with pytest.raises(NotAMatching):
         tangle_from_text("n=1000000000000; blocks=")

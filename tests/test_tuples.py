@@ -7,6 +7,7 @@ from tlmonoid import (
     LengthOutOfRange,
     NotDecreasing,
     check_tuple,
+    entries_from_text,
     enumerate_tuples,
     tuple_from_text,
     tuple_to_text,
@@ -97,6 +98,37 @@ def test_text_round_trip():
 def test_text_rejects_garbage():
     with pytest.raises(ValueError):
         tuple_from_text("x=(1,2)")
+
+
+def test_text_reads_canonical_integers_with_space_around_entries():
+    assert tuple_from_text("n=9; x=( 5, 3 ,2 )") == check_tuple(9, (5, 3, 2))
+    assert entries_from_text(" ( 5, 3 ,2 ) ") == [5, 3, 2]
+    assert entries_from_text("( )") == entries_from_text("()") == []
+
+
+# every integer is read only in the spelling `str(int)` gives
+@pytest.mark.parametrize("text, token", [
+    ("n=\u0665; x=(\u0663)", "\u0665"),
+    ("n=05; x=(3)", "05"),
+    ("n=+5; x=(3)", "+5"),
+    ("n=5; x=(03)", "03"),
+    ("n=5; x=(\u0663)", "\u0663"),
+    ("n=5; x=(+3)", "+3"),
+    ("n=5; x=(3_0)", "3_0"),
+    ("n=5; x=(\u00b2)", "\u00b2"),
+])
+def test_tuple_from_text_refuses_non_canonical_integers(text, token):
+    with pytest.raises(ValueError, match=re.escape(token)):
+        tuple_from_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(+5, 3,2)", "(05)", "(\u0663)", "(5,,3)", "5,3", "(5;3)", "(1_0)", "(",
+])
+def test_entries_from_text_refuses_and_names_bad_tokens(text):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"bad tuple token {text!r}")):
+        entries_from_text(text)
 
 
 @pytest.mark.parametrize("n, entries, bad", [

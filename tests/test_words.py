@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -8,14 +10,18 @@ from tlmonoid import (
     L,
     R,
     Word,
+    balanced_word,
     boundary_tuples,
+    build_tangle,
     check_tuple,
+    enumerate_tuples,
     evaluate,
     generator,
     hat,
     hooks_to_pairs,
     identity,
     make_tangle,
+    normal_form,
     tuple_words,
     word_from_text,
     word_to_text,
@@ -136,3 +142,44 @@ def test_tuple_words_recover_arcs():
     lam, _ = tuple_words(x)
     bl, _ = boundary_tuples(evaluate(lam)[0])
     assert bl == x
+
+
+# every index is read only in the spelling `str(int)` gives
+@pytest.mark.parametrize("token", [
+    "L03", "L\u0663", "L\u00b2", "R+3", "E1_0", "L-1", "R0x1", "E",
+])
+def test_word_from_text_refuses_non_canonical_indices(token):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"bad word token {token!r}")):
+        W(12, f"L1 {token} R2")
+
+
+def test_word_from_text_reads_canonical_indices():
+    assert W(12, "L3 r11 e10") == Word(12, (L(3), R(11), E(10)))
+
+
+def balanced_pairs(n):
+    for k in range(n // 2 + 1):
+        tups = enumerate_tuples(n, k)
+        for x in tups:
+            for y in tups:
+                yield x, y
+
+
+def test_balanced_word_agrees_with_normal_form_build_tangle_and_nf(capsys):
+    from tlmonoid.cli import main
+    for n in range(3, 8):
+        for x, y in balanced_pairs(n):
+            w = balanced_word(x, y)
+            assert normal_form(w)[1].end_word() == w
+            assert build_tangle(x, y) == evaluate(w)[0]
+            assert main(["nf", "--n", str(n), word_to_text(w),
+                         "--format", "doc"]) == 0
+            assert json.loads(capsys.readouterr().out)["word"] == \
+                word_to_text(w)
+
+
+def test_balanced_word_letters():
+    w = balanced_word(check_tuple(9, (5, 3, 2)), check_tuple(9, (7, 4, 1)))
+    assert word_to_text(w) == "L5 L3 L2 R1 R4 R7"
+    assert balanced_word(check_tuple(4, ()), check_tuple(4, ())) == W(4, "1")
