@@ -24,13 +24,9 @@ import sys
 from .algebra import alg_eval_word, element_to_text, rational
 from .errors import TLError
 from .relations import _check_degree
-from .rewrite import (
-    check_derivation,
-    derivation_from_text,
-    derivation_to_text,
-    normal_form,
-    normal_form_E,
-)
+from .etranslate import normal_form_E
+from .rewrite import (check_derivation, derivation_from_text,
+                      derivation_to_text, normal_form)
 from .tangles import (
     compose,
     dagger,

@@ -5,7 +5,8 @@ every lambda/rho relation instance maps to a fixed chain of E1/E2/E3
 rewrites.  This module constructs those chains as step templates, checks
 each one once by replaying it from hat(lhs) to hat(rhs), and translates a
 whole Omega derivation into an E-alphabet derivation by placing the checked
-templates at offsets.  The key ingredients:
+templates at offsets; `normal_form_E` certifies a hook word this way, on
+top of `rewrite.normal_form`.  The key ingredients:
 
   * the telescope E_i E_{i+1}..E_{n-1} E_{n-1}..E_{i+1} E_i collapses onto
     E_i by one E1 and a ladder of E3 contractions (and expands by the
@@ -25,11 +26,13 @@ never a placed template.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadStep, FamilyViolation
+from .errors import BadStep, DegreeMismatch, FamilyViolation
 from .relations import (
     Step,
+    _check_degree,
     _dagger,
     _new,
     mirror_steps,
@@ -38,9 +41,12 @@ from .relations import (
     reverse_steps,
     shift_steps,
 )
-from .words import E as _E, Letter, Word, _hat_indices, hat, hooks_to_pairs
+from .rewrite import Derivation, NormalForm, _only, normal_form
+from .tangles import Tangle
+from .words import E as _E, Letter, Word, _hat_indices, evaluate, hat
 
-__all__ = ["xi_template", "e_certificate"]
+__all__ = ["xi_template", "normal_form_E", "e_certificate", "EqualityResult",
+           "equal_words"]
 
 
 class _EBuilder:
@@ -210,22 +216,30 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-def e_certificate(w: Word) -> tuple[list[Step], tuple[Letter, ...]]:
-    """Certificate over E1/E2/E3 carrying `w` to its canonical E-word.
+def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
+    """Normal form of a pure E-word, with a certificate over E1/E2/E3 only.
 
-    Phase one expands every hook through its telescope, reaching the hat
-    image of the lifted lambda/rho word; phase two places, for each step of
-    that word's Omega certificate, the relation's checked template at the
-    offset of the matched segment's hat image.
+    The canonical E-word is the hat image of the balanced word L_x R_y (not
+    a shortest representative).  The certificate first expands each hook
+    through its lambda-rho telescope, then places the checked per-relation
+    step template of each step of the lifted word's Omega certificate.
     """
-    from .rewrite import normal_form
+    _check_degree(w.n)
+    _only(w.letters, {"E"}, "normal_form_E")
+    nf, lifted = normal_form(w)
+    steps, end = _translate_certificate(w, lifted)
+    return nf, Word(w.n, end), Derivation(w.n, "Xi", w.letters,
+                                          tuple(steps), end)
 
-    return _translate_certificate(w, normal_form(hooks_to_pairs(w))[1])
+
+def e_certificate(w: Word) -> tuple[tuple[Step, ...], tuple[Letter, ...]]:
+    """The steps and end word of `normal_form_E`'s certificate for `w`."""
+    d = normal_form_E(w)[2]
+    return d.steps, d.end
 
 
 def _translate_certificate(w: Word, deriv):
-    # `deriv` is the Omega certificate of the lifted word hooks_to_pairs(w);
-    # normal_form_E passes the one it already has, so it is computed once
+    # `deriv` is the Omega certificate of the lifted word hooks_to_pairs(w)
     n = w.n
     b = _EBuilder(n, [c.index for c in w.letters])
     b.wh_expand(*range(len(w.letters) - 1, -1, -1))
@@ -255,3 +269,37 @@ def _translate_certificate(w: Word, deriv):
         hl[p:p + hit[1]] = hit[2]
 
     return steps, hat(Word(n, tuple(lr))).letters
+
+
+@dataclass(frozen=True)
+class EqualityResult:
+    equal: bool
+    nf1: NormalForm
+    nf2: NormalForm
+    derivation1: Derivation
+    derivation2: Derivation
+    witness: tuple[Tangle, Tangle] | None = None
+
+
+def equal_words(w1: Word, w2: Word) -> EqualityResult:
+    """Decide w1 ~ w2 by comparing normal forms.
+
+    On success the two derivations form a joint certificate meeting at the
+    canonical word; on failure the evaluated diagrams witness inequality.
+    """
+    if w1.n != w2.n:
+        raise DegreeMismatch(f"degrees {w1.n} and {w2.n} differ")
+
+    def nf_of(w):
+        if w.letters and w.alphabets() <= {"E"}:
+            nf, _, d = normal_form_E(w)
+            return nf, d
+        return normal_form(w)
+
+    nf1, d1 = nf_of(w1)
+    nf2, d2 = nf_of(w2)
+    eq = nf1.x == nf2.x and nf1.y == nf2.y
+    witness = None
+    if not eq:
+        witness = (evaluate(w1)[0], evaluate(w2)[0])
+    return EqualityResult(eq, nf1, nf2, d1, d2, witness)

@@ -18,9 +18,7 @@ pipeline that finds it is:
 
 Each stage emits explicit `Step` records, so the result of `normal_form` is
 both the canonical word and a replayable proof of equivalence that
-`check_derivation` validates independently.  `normal_form_E` lifts a word
-over the hook alphabet, runs the same pipeline, and translates the whole
-certificate into E1/E2/E3 steps.
+`check_derivation` validates independently.
 
 The folds are strictly left-to-right and deterministic: identical input
 yields a byte-identical derivation.
@@ -43,7 +41,6 @@ from .relations import (
     step_from_text,
     step_to_text,
 )
-from .tangles import Tangle
 from .tuples import TnTuple, check_tuple
 from .words import (Letter, Word, balanced_word, evaluate, hooks_to_pairs,
                     letter, word_from_text, word_to_text)
@@ -51,13 +48,10 @@ from .words import (Letter, Word, balanced_word, evaluate, hooks_to_pairs,
 __all__ = [
     "Derivation",
     "NormalForm",
-    "EqualityResult",
     "reduce_one_sided",
     "push_lambda",
     "separate",
     "normal_form",
-    "normal_form_E",
-    "equal_words",
     "check_derivation",
     "derivation_to_text",
     "derivation_from_text",
@@ -89,16 +83,6 @@ class NormalForm:
     x: TnTuple
     y: TnTuple
     word: Word
-
-
-@dataclass(frozen=True)
-class EqualityResult:
-    equal: bool
-    nf1: NormalForm
-    nf2: NormalForm
-    derivation1: Derivation
-    derivation2: Derivation
-    witness: tuple[Tangle, Tangle] | None = None
 
 
 # -- one-sided folding -----------------------------------------------------------
@@ -387,48 +371,6 @@ def normal_form(w: Word) -> tuple[NormalForm, Derivation]:
     end = balanced_word(x, y)
     return (NormalForm(x, y, end),
             Derivation(w.n, "Omega", letters, tuple(steps), end.letters, note))
-
-
-def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
-    """Normal form of a pure E-word, with a certificate over E1/E2/E3 only.
-
-    The canonical E-word is the hat image of the balanced word L_x R_y (not
-    a shortest representative).  The certificate first expands each hook
-    through its lambda-rho telescope, then places the checked per-relation
-    step template of each step of the lifted word's Omega certificate.
-    """
-    from .etranslate import _translate_certificate
-
-    _check_degree(w.n)
-    _only(w.letters, {"E"}, "normal_form_E")
-    nf, lifted = normal_form(w)
-    steps, end = _translate_certificate(w, lifted)
-    return nf, Word(w.n, end), Derivation(w.n, "Xi", w.letters,
-                                          tuple(steps), end)
-
-
-def equal_words(w1: Word, w2: Word) -> EqualityResult:
-    """Decide w1 ~ w2 by comparing normal forms.
-
-    On success the two derivations form a joint certificate meeting at the
-    canonical word; on failure the evaluated diagrams witness inequality.
-    """
-    if w1.n != w2.n:
-        raise DegreeMismatch(f"degrees {w1.n} and {w2.n} differ")
-
-    def nf_of(w):
-        if w.letters and w.alphabets() <= {"E"}:
-            nf, _, d = normal_form_E(w)
-            return nf, d
-        return normal_form(w)
-
-    nf1, d1 = nf_of(w1)
-    nf2, d2 = nf_of(w2)
-    eq = nf1.x == nf2.x and nf1.y == nf2.y
-    witness = None
-    if not eq:
-        witness = (evaluate(w1)[0], evaluate(w2)[0])
-    return EqualityResult(eq, nf1, nf2, d1, d2, witness)
 
 
 def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:

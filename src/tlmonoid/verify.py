@@ -21,7 +21,8 @@ from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
 from .tuples import enumerate_tuples
 from .words import Word, balanced_word, build_tangle, evaluate, hat, letter
-from .rewrite import check_derivation, equal_words, normal_form, normal_form_E
+from .rewrite import check_derivation, normal_form
+from .etranslate import equal_words, normal_form_E
 
 __all__ = [
     "catalan",
