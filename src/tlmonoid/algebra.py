@@ -33,6 +33,7 @@ from .relations import relation_set
 from .tangles import (Tangle, _check_planar, _prepared_lower, _prepared_upper,
                       _stack, compose, identity, tangle_from_text,
                       tangle_to_text)
+from .tuples import _canonical_int
 from .words import Letter, Word, evaluate
 
 __all__ = [
@@ -287,16 +288,22 @@ def element_to_text(a: AlgebraElement, delta) -> str:
 def rational(text: str) -> Fraction:
     """The rational written `text`, like `2`, `-1/3` or `0.5`.
 
-    Raises ValueError naming the text when it is not one, a zero
-    denominator included.  Exponent notation such as `1e400` is refused:
-    `Fraction` would expand it into an integer of that many digits.
+    Each integer part is read only in the spelling `str(int)` gives it, a
+    denominator must be positive and decimal digits ASCII.  Anything else,
+    `+3`, `03`, `1_0`, `٣`, ` 3` and `1/0` included, raises ValueError
+    naming the text; so does exponent notation such as `1e400`, which
+    `Fraction` would expand into an integer of that many digits.
     """
-    if "e" in text.lower():
-        raise ValueError(f"exponent notation in rational {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
+    num, slash, den = text.partition("/")
+    whole, point, digits = num.partition(".")
+    if point:           # a decimal; its sign is the whole's, as in `-0.5`
+        ok = not slash and digits.isascii() and digits.isdigit()
+        whole = whole.removeprefix("-")
+    else:
+        ok = not slash or (_canonical_int(den) or 0) > 0
+    if not ok or _canonical_int(whole) is None:
+        raise ValueError(f"bad rational {text!r}; expected like 2, -1/3 or 0.5")
+    return Fraction(text)
 
 
 def _fraction(x) -> Fraction:

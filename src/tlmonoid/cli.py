@@ -35,7 +35,7 @@ from .tangles import (
     tangle_to_doc,
     tangle_to_text,
 )
-from .tuples import check_tuple, entries_from_text
+from .tuples import _canonical_int, check_tuple, entries_from_text
 from .verify import enumerate_TL, fuzz_words, verify_presentation
 from .words import (balanced_word, build_tangle, evaluate, hat, word_from_text,
                     word_to_text)
@@ -230,6 +230,14 @@ def render_tangle(t) -> str:
     return "\n".join(lines)
 
 
+def integer(text):
+    """An integer option, read only in the spelling `str(int)` gives it."""
+    v = _canonical_int(text)
+    if v is None:
+        raise ValueError(text)      # argparse names the option and `text`
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tln",
@@ -240,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
         # `degree` is the one integer positional
         p = sub.add_parser(name, help=help)
         for pos in positionals:
-            p.add_argument(pos, type=int if pos == "degree" else str)
+            p.add_argument(pos, type=integer if pos == "degree" else str)
         if n:
-            p.add_argument("--n", type=int, required=True, help="degree")
+            p.add_argument("--n", type=integer, required=True, help="degree")
         if doc:
             p.add_argument("--format", choices=("text", "doc"), default="text")
         p.set_defaults(fn=fn, format="text")
@@ -264,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("enumerate", _cmd_enumerate, "all tangles of a degree", "degree")
     p = command("verify", _cmd_verify, "presentation checks, optional fuzzing",
                 "degree")
-    p.add_argument("--fuzz", type=int, default=0, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-len", type=int, default=50)
+    p.add_argument("--fuzz", type=integer, default=0, metavar="N")
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--max-len", type=integer, default=50)
     p.add_argument("--timings", action="store_true",
                    help="include elapsed times (not byte-reproducible)")
     p = command("alg", _cmd_alg, "algebra element of a hook word", "word",

@@ -253,6 +253,8 @@ def test_rationals_with_a_zero_denominator_raise_value_error():
     ("delta=2; n=+2;", "n=+2"),
     ("delta=2; n=2;\n1 * n=02; blocks=(1,2)(-1,-2)", "n=02"),
     ("delta=2; n=2;\n1 * n=2; blocks=(01,2)(-1,-2)", "(01,2)"),
+    ("delta=+03; n=2;", "+03"),
+    ("delta=2; n=2;\n1_0 * n=2; blocks=(1,2)(-1,-2)", "1_0"),
 ])
 def test_element_from_text_refuses_non_canonical_integers(text, token):
     with pytest.raises(ValueError, match=re.escape(token)):
@@ -270,6 +272,27 @@ def test_rationals_in_exponent_notation_raise_value_error():
     with pytest.raises(ValueError, match="1e400"):
         element_from_text("delta=2; n=5;\n"
                           "1e400 * n=5; blocks=(1,-1)(2,-2)(3,-3)(4,5)(-5,-4)\n")
+
+
+# each integer part of a rational is read only as `str(int)` spells it
+@pytest.mark.parametrize("text", [
+    "+3", "03", "1_0", "\u0663", " 3", "3 ", "-0", "+1/3", "1/03", "1/+3",
+    "1/-3", "-0/3", "1.", ".5", "+0.5", "00.5", "0.\u0665", "1/2.5", "0x10",
+])
+def test_rationals_with_non_canonical_integer_parts_raise_value_error(text):
+    from tlmonoid.algebra import rational
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        rational(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2", 2), ("-2", -2), ("0", 0), ("1/3", Fraction(1, 3)),
+    ("-1/3", Fraction(-1, 3)), ("0.5", Fraction(1, 2)),
+    ("-0.5", Fraction(-1, 2)), ("0.05", Fraction(1, 20)),
+])
+def test_rationals_in_canonical_spelling_read(text, value):
+    from tlmonoid.algebra import rational
+    assert rational(text) == value
 
 
 @pytest.mark.parametrize("call", [

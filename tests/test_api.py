@@ -1,7 +1,9 @@
 """The package API is stated once: each module's `__all__`, re-exported by
 `tlmonoid/__init__.py`."""
 
+import ast
 import inspect
+import pathlib
 import types
 
 import pytest
@@ -43,3 +45,19 @@ def test_the_package_exports_nothing_else():
                       and obj.__name__ == f"tlmonoid.{name}")]
     assert extra == []
     assert tlmonoid.__version__
+
+
+SOURCES = sorted(pathlib.Path(tlmonoid.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_inside_a_function(path):
+    # a function-level import hides a cycle in the module graph; each
+    # module's imports are all at its top, so the graph reads from them
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    late = [f"{path.name}:{node.lineno}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert late == []

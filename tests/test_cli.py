@@ -151,6 +151,29 @@ def test_non_canonical_integers_exit_two_naming_the_token(argv, token,
     assert out == "" and token in err
 
 
+# integer options and `--delta` too; argparse refuses them before any work
+@pytest.mark.parametrize("argv, token", [
+    (["nf", "--n", "05", "L1 R2"], "'05'"),
+    (["nf", "--n", "+5", "L1 R2"], "'+5'"),
+    (["nf", "--n", "\u0665", "L1 R2"], "'\u0665'"),
+    (["nf", "--n", "5_0", "L1 R2"], "'5_0'"),
+    (["eq", "--n", " 5", "L1", "L1"], "' 5'"),
+    (["enumerate", "04"], "'04'"),
+    (["verify", "03"], "'03'"),
+    (["verify", "3", "--fuzz", "05"], "'05'"),
+    (["verify", "3", "--fuzz", "4", "--seed", "+1"], "'+1'"),
+    (["verify", "3", "--fuzz", "4", "--max-len", "1_0"], "'1_0'"),
+    (["alg", "--n", "5", "E4", "--delta", "+2"], "'+2'"),
+    (["alg", "--n", "5", "E4", "--delta", "1/\u0663"], "'1/\u0663'"),
+])
+def test_non_canonical_options_exit_two_naming_the_token(argv, token, capsys):
+    from tlmonoid import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "") and token in err
+
+
 def test_build_reads_space_around_tuple_entries():
     code, out, _ = run_cli("build", "--n", "9", "( 5, 3 ,2 )", "(7,4,1)")
     assert (code, out.strip()) == (0, ALPHA)

@@ -115,6 +115,18 @@ def test_normal_form_E_rejects_lambda_letters():
         normal_form_E(W(5, "L1"))
 
 
+@pytest.mark.parametrize("text", ["L1 R2", "E1 L1", "R3"])
+def test_e_certificate_rejects_words_not_over_E(text):
+    with pytest.raises(AlphabetError, match="normal_form_E"):
+        etranslate.e_certificate(W(5, text))
+
+
+def test_e_certificate_is_the_normal_form_E_certificate():
+    w = W(7, "E3 E1 E6 E2 E3")
+    _, canonical, d = normal_form_E(w)
+    assert etranslate.e_certificate(w) == (d.steps, canonical.letters)
+
+
 def test_equal_words_across_alphabets():
     res = equal_words(W(5, "E2"), W(5, "L2 R2"))
     assert res.equal

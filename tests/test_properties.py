@@ -5,7 +5,12 @@ Hypothesis runs under a derandomized profile, so every run of the suite
 draws the same examples and a failure reproduces without a database.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -16,6 +21,7 @@ from tlmonoid import (
     AlgebraElement,
     Derivation,
     Step,
+    TLError,
     Word,
     alg_mul,
     boundary_tuples,
@@ -23,15 +29,29 @@ from tlmonoid import (
     compose,
     derivation_from_text,
     derivation_to_text,
+    element_from_text,
+    element_to_text,
     evaluate,
     letter,
     make_tangle,
     mirror_steps,
     normal_form,
     normal_form_E,
+    rational,
     reduce_one_sided,
     relation_index,
+    step_from_text,
+    step_to_text,
+    tangle_from_doc,
+    tangle_from_text,
+    tangle_to_doc,
+    tangle_to_text,
+    tuple_from_text,
+    tuple_to_text,
+    word_from_text,
+    word_to_text,
 )
+from tlmonoid import cli
 
 from oracles import (as_blockset, dagger_letters, naive_alg_mul, naive_compose,
                      naive_evaluate, replay_check, replay_translate)
@@ -292,3 +312,204 @@ def test_alg_mul_agrees_with_the_fraction_double_loop(case, delta):
     got = alg_mul(element(terms_a), element(terms_b), delta)
     assert ({as_blockset(t): c for t, c in got.terms.items()}
             == naive_alg_mul(n, terms_a, terms_b, delta))
+
+
+# -- text formats: every writer's output reads back, and every reader
+# refuses drawn text only with a typed error.  Degrees stay at 30 or below
+# and words at 20 letters or fewer, so that no certificate blows up.
+
+@st.composite
+def small_words(draw, n=None, alphabets=("L", "R", "E", "LR", "LRE")):
+    n = n or draw(st.integers(3, 30))
+    alphabet = draw(st.sampled_from(alphabets))
+    letters = draw(st.lists(
+        st.tuples(st.sampled_from(alphabet), st.integers(1, n - 1)),
+        max_size=20))
+    return Word(n, tuple(letter(a, i) for a, i in letters))
+
+
+def tangles(max_n=30):
+    return st.integers(1, max_n).flatmap(
+        lambda n: diagrams(n).map(lambda blocks: make_tangle(n, blocks)))
+
+
+def steps(n):
+    ids = sorted(relation_index(n, "Omega")) + sorted(relation_index(n, "Xi"))
+    return st.builds(Step, st.integers(-3, 60), st.sampled_from(ids),
+                     st.booleans())
+
+
+@st.composite
+def elements(draw):
+    n = draw(st.integers(1, 6))
+    coeffs = st.fractions(max_denominator=9).filter(lambda c: abs(c) < 100)
+    terms = draw(st.lists(st.tuples(diagrams(n), coeffs), max_size=4))
+    return (AlgebraElement(n, [(make_tangle(n, b), c) for b, c in terms]),
+            draw(coeffs))
+
+
+@DETERMINISTIC
+@given(tangles())
+def test_tangle_text_and_json_round_trip(t):
+    assert tangle_from_text(tangle_to_text(t)) == t
+    assert tangle_from_doc(json.loads(json.dumps(tangle_to_doc(t)))) == t
+
+
+@DETERMINISTIC
+@given(small_words())
+def test_word_text_round_trips(w):
+    assert word_from_text(w.n, word_to_text(w)) == w
+
+
+@DETERMINISTIC
+@given(tangles())
+def test_tuple_text_round_trips(t):
+    for x in boundary_tuples(t):
+        assert tuple_from_text(tuple_to_text(x)) == x
+
+
+@DETERMINISTIC
+@given(st.integers(3, 30).flatmap(steps))
+def test_step_text_round_trips(step):
+    assert step_from_text(step_to_text(step)) == step
+
+
+@DETERMINISTIC
+@given(elements())
+def test_element_text_round_trips(case):
+    e, delta = case
+    assert element_from_text(element_to_text(e, delta)) == (e, delta)
+
+
+# characters the formats give meaning to, and a few that look like digits
+FORMAT_CHARS = "0123456789-+_()=;,.:/* \nLREnxblocksfamilyOmegaXiendfwdbwd\u0663\u00b2"
+
+
+@st.composite
+def edited(draw, texts):
+    """Text from `texts` with up to three short spans replaced, or any text."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=40))
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.text(FORMAT_CHARS, max_size=3)) + text[j:]
+    return text
+
+
+def _certificate_text(w):
+    return derivation_to_text(certificate(w)[1])
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-40, 40) | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+DOCS = st.fixed_dictionaries(
+    {"n": st.integers(1, 8) | JSON, "blocks": JSON}).map(json.dumps)
+
+
+def _json_or_text(text):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+READERS = {
+    "word_from_text": (small_words().map(word_to_text),
+                       lambda text: word_from_text(7, text)),
+    "tuple_from_text": (tangles().map(
+        lambda t: tuple_to_text(boundary_tuples(t)[0])), tuple_from_text),
+    "tangle_from_text": (tangles().map(tangle_to_text), tangle_from_text),
+    "tangle_from_doc": (
+        tangles().map(lambda t: json.dumps(tangle_to_doc(t))) | DOCS,
+        lambda text: tangle_from_doc(_json_or_text(text))),
+    "step_from_text": (st.integers(3, 30).flatmap(steps).map(step_to_text),
+                       step_from_text),
+    "derivation_from_text": (
+        small_words(7).map(lambda w: _certificate_text(w)),
+        lambda text: derivation_from_text(text, word_from_text(7, "E1 L2"))),
+    "element_from_text": (elements().map(lambda c: element_to_text(*c)),
+                          element_from_text),
+    "rational": (st.sampled_from(["2", "-2", "1/3", "-1/3", "0.5", "-0.5"]),
+                 rational),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_refuse_drawn_text_with_a_typed_error(reader):
+    texts, read = READERS[reader]
+
+    @DETERMINISTIC
+    @given(edited(texts))
+    def check(text):
+        try:
+            read(text)
+        except (TLError, ValueError):
+            pass
+
+    check()
+
+
+# `tln` ends with 0 to 4 whatever it is given, and with 1 only from `eq`
+ALPHABETS = ("L", "R", "E", "LR", "LRE")
+BAD_DEGREES = ["05", "+5", "\u0665", "5_0", " 5", "", "x", "-3", "0", "2"]
+DELTAS = ["2", "-1/3", "0.5", "0"]
+BAD_DELTAS = ["+2", "02", "1/0", "1e400", "x", " 2", "1_0"]
+
+
+@st.composite
+def tln_argv(draw, tmp):
+    """An argv with at most one fault: in the degree, in a word, or in the
+    command's own input (a delta, a certificate file, an output path)."""
+    command = draw(st.sampled_from(["eval", "nf", "eq", "alg", "check-cert"]))
+    fault = draw(st.sampled_from([None, None, "degree", "word", "input"]))
+    n = draw(st.integers(3, 30))
+    degree = (draw(st.sampled_from(BAD_DEGREES)) if fault == "degree"
+              else str(n))
+    texts = small_words(n, ("E",) if command == "alg" else ALPHABETS)
+    texts = texts.map(word_to_text)
+    word = edited(texts) if fault == "word" else texts
+    argv = [command, "--n", degree]
+    if command == "check-cert":
+        start = draw(small_words(n))
+        text = _certificate_text(start)
+        if fault == "input":
+            text = draw(edited(st.just(text)))
+        cert = os.path.join(tmp, "drawn.cert")
+        with open(cert, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        start = word if fault == "word" else st.just(word_to_text(start))
+        return argv + [cert, draw(start)] + draw(st.sampled_from(
+            [[], ["--family", "Omega"], ["--family", "Xi"]]))
+    argv += [draw(word) for _ in range(2 if command == "eq" else 1)]
+    bad = fault == "input"
+    if command == "alg":
+        argv += ["--delta", draw(st.sampled_from(BAD_DELTAS if bad else DELTAS))]
+    elif command == "nf" and (bad or draw(st.booleans())):
+        argv += ["--cert", os.path.join(tmp, "no-such-dir" if bad else "",
+                                        "out.cert")]
+    elif bad:
+        argv += ["--format", "xml"]
+    return argv + draw(st.sampled_from([[], ["--format", "doc"]]))
+
+
+def test_tln_exits_only_with_its_documented_codes():
+    with tempfile.TemporaryDirectory() as tmp:
+
+        @DETERMINISTIC
+        @given(tln_argv(tmp))
+        def check(argv):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:   # argparse refused the argv
+                    code = exc.code
+            assert code in (0, 1, 2, 3, 4), argv
+            assert code != 1 or argv[0] == "eq", argv
+            assert code != 4, (argv, err.getvalue())
+
+        check()
