@@ -429,7 +429,7 @@ READERS = {
     "step_from_text": (st.integers(3, 30).flatmap(steps).map(step_to_text),
                        step_from_text),
     "derivation_from_text": (
-        small_words(7).map(lambda w: _certificate_text(w)),
+        small_words(7).map(_certificate_text),
         lambda text: derivation_from_text(text, word_from_text(7, "E1 L2"))),
     "element_from_text": (elements().map(lambda c: element_to_text(*c)),
                           element_from_text),
