@@ -24,9 +24,8 @@ import sys
 from .algebra import alg_eval_word, element_to_text, rational
 from .errors import TLError
 from .relations import _check_degree
-from .etranslate import normal_form_E
-from .rewrite import (check_derivation, derivation_from_text,
-                      derivation_to_text, normal_form)
+from .etranslate import certify
+from .rewrite import check_derivation, derivation_from_text, derivation_to_text
 from .tangles import (
     compose,
     dagger,
@@ -67,12 +66,11 @@ def _cmd_nf(args):
     _check_degree(args.n)
     x, y = factorize(evaluate(w)[0])   # by the normal-form theorem
     word = balanced_word(x, y)
-    hooks = w.letters and w.alphabets() <= {"E"}
     if args.cert:                       # rewriting runs only for a certificate
-        deriv = normal_form_E(w)[2] if hooks else normal_form(w)[1]
+        text = derivation_to_text(certify(w)[1])   # a refused word: no file
         with open(args.cert, "w", encoding="utf-8") as fh:
-            fh.write(derivation_to_text(deriv))
-    canonical = hat(word) if hooks else word
+            fh.write(text)
+    canonical = hat(word) if w.letters and w.alphabets() <= {"E"} else word
     return (0,
             lambda: {"x": list(x.entries), "y": list(y.entries),
                      "word": word_to_text(word),

@@ -6,7 +6,7 @@ rewrites.  This module constructs those chains as step templates, checks
 each one once by replaying it from hat(lhs) to hat(rhs), and translates a
 whole Omega derivation into an E-alphabet derivation by placing the checked
 templates at offsets; `normal_form_E` certifies a hook word this way, on
-top of `rewrite.normal_form`.  The key ingredients:
+top of `rewrite.normal_form` of its lift.  The key ingredients:
 
   * the telescope E_i E_{i+1}..E_{n-1} E_{n-1}..E_{i+1} E_i collapses onto
     E_i by one E1 and a ladder of E3 contractions (and expands by the
@@ -43,10 +43,11 @@ from .relations import (
 )
 from .rewrite import Derivation, NormalForm, _only, normal_form
 from .tangles import Tangle
-from .words import E as _E, Letter, Word, _hat_indices, evaluate, hat
+from .words import (E as _E, Letter, Word, _hat_indices, evaluate, hat,
+                    hooks_to_pairs)
 
-__all__ = ["xi_template", "normal_form_E", "e_certificate", "EqualityResult",
-           "equal_words"]
+__all__ = ["xi_template", "normal_form_E", "e_certificate", "certify",
+           "EqualityResult", "equal_words"]
 
 
 class _EBuilder:
@@ -226,7 +227,7 @@ def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
     """
     _check_degree(w.n)
     _only(w.letters, {"E"}, "normal_form_E")
-    nf, lifted = normal_form(w)
+    nf, lifted = normal_form(hooks_to_pairs(w))
     steps, end = _translate_certificate(w, lifted)
     return nf, Word(w.n, end), Derivation(w.n, "Xi", w.letters,
                                           tuple(steps), end)
@@ -236,6 +237,17 @@ def e_certificate(w: Word) -> tuple[tuple[Step, ...], tuple[Letter, ...]]:
     """The steps and end word of `normal_form_E`'s certificate for `w`."""
     d = normal_form_E(w)[2]
     return d.steps, d.end
+
+
+def certify(w: Word) -> tuple[NormalForm, Derivation]:
+    """The normal form of `w` and its certificate, which starts at `w`: over
+    Xi for a non-empty E-word, else over Omega, where `normal_form` refuses
+    a word mixing E with L/R letters.
+    """
+    if w.letters and w.alphabets() <= {"E"}:
+        nf, _, d = normal_form_E(w)
+        return nf, d
+    return normal_form(w)
 
 
 def _translate_certificate(w: Word, deriv):
@@ -282,22 +294,16 @@ class EqualityResult:
 
 
 def equal_words(w1: Word, w2: Word) -> EqualityResult:
-    """Decide w1 ~ w2 by comparing normal forms.
+    """Decide w1 ~ w2 by comparing the normal forms `certify` gives.
 
-    On success the two derivations form a joint certificate meeting at the
-    canonical word; on failure the evaluated diagrams witness inequality.
+    A word mixing E with L/R letters is refused.  The derivations end at
+    L_x R_y over Omega and at its hat image over Xi, so they meet only in
+    one presentation; on failure the diagrams witness inequality.
     """
     if w1.n != w2.n:
         raise DegreeMismatch(f"degrees {w1.n} and {w2.n} differ")
-
-    def nf_of(w):
-        if w.letters and w.alphabets() <= {"E"}:
-            nf, _, d = normal_form_E(w)
-            return nf, d
-        return normal_form(w)
-
-    nf1, d1 = nf_of(w1)
-    nf2, d2 = nf_of(w2)
+    nf1, d1 = certify(w1)
+    nf2, d2 = certify(w2)
     eq = nf1.x == nf2.x and nf1.y == nf2.y
     witness = None
     if not eq:

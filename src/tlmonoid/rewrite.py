@@ -42,8 +42,8 @@ from .relations import (
     step_to_text,
 )
 from .tuples import TnTuple, check_tuple
-from .words import (Letter, Word, balanced_word, evaluate, hooks_to_pairs,
-                    letter, word_from_text, word_to_text)
+from .words import (Letter, Word, balanced_word, evaluate, letter,
+                    word_from_text, word_to_text)
 
 __all__ = [
     "Derivation",
@@ -67,7 +67,6 @@ class Derivation:
     start: tuple[Letter, ...]
     steps: tuple[Step, ...]
     end: tuple[Letter, ...]
-    note: str = ""
 
     def start_word(self) -> Word:
         return Word(self.n, self.start)
@@ -354,23 +353,19 @@ def separate(w: Word) -> tuple[Word, Word, Derivation]:
 def normal_form(w: Word) -> tuple[NormalForm, Derivation]:
     """The canonical balanced word equivalent to `w`, with its certificate.
 
-    Hook letters are first expanded as E_i -> L_i R_i; the derivation then
-    starts from the expanded word and the expansion is recorded in its note.
+    `w` is an L/R word and the certificate starts at it; a hook letter is
+    refused with `AlphabetError` (`etranslate.certify` certifies E-words).
     """
     _check_degree(w.n)
-    letters = w.letters
-    note = ""
-    if any(c.alphabet == "E" for c in letters):
-        letters = hooks_to_pairs(w).letters
-        note = "hook letters were expanded as E_i -> L_i R_i"
+    _only(w.letters, {"L", "R"}, "normal_form")
     steps: list[Step] = []
     memo: dict = {}
-    x, v = _separate_fold(w.n, letters, steps, memo)
+    x, v = _separate_fold(w.n, w.letters, steps, memo)
     x, v = _balance(w.n, x, v, steps, memo)
     x, y = check_tuple(w.n, x), check_tuple(w.n, v[::-1])
     end = balanced_word(x, y)
     return (NormalForm(x, y, end),
-            Derivation(w.n, "Omega", letters, tuple(steps), end.letters, note))
+            Derivation(w.n, "Omega", w.letters, tuple(steps), end.letters))
 
 
 def check_derivation(d: Derivation, relation_family: str | None = None) -> Word:
@@ -402,7 +397,7 @@ def derivation_to_text(d: Derivation) -> str:
                       f"end={word_to_text(d.end_word())}"]) + "\n"
 
 
-_DERIVATION_HEADER = re.compile(r"^n=(0|[1-9][0-9]*);\s*family=(\w+)$")
+_DERIVATION_HEADER = re.compile(r"^n=(0|[1-9][0-9]*);\s*family=(Omega|Xi)$")
 
 
 def derivation_from_text(text: str, start: Word) -> Derivation:

@@ -20,9 +20,10 @@ from .errors import DegreeError, DegreeOutOfRange, DegreeTooLarge, TLError
 from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
 from .tuples import enumerate_tuples
-from .words import Word, balanced_word, build_tangle, evaluate, hat, letter
+from .words import (Word, balanced_word, build_tangle, evaluate, hat,
+                    hooks_to_pairs, letter)
 from .rewrite import check_derivation, normal_form
-from .etranslate import equal_words, normal_form_E
+from .etranslate import certify, equal_words
 
 __all__ = [
     "catalan",
@@ -249,15 +250,15 @@ def fuzz_words(n: int, count: int, max_len: int = 50,
                seed: int = 0) -> FuzzReport:
     """Seeded random soundness check of the rewriting pipeline.
 
-    Three lanes: words over L u R and words over E go through
-    `normal_form` (E letters lifted through hook expansion) at full count;
-    a smaller lane drives `normal_form_E`, whose certificates expand each
+    Three lanes: words over L u R go through `normal_form` and words over E
+    through `normal_form` of their lift E_i -> L_i R_i, at full count; a
+    smaller lane drives `certify`, whose Xi certificates expand each
     relation application into its E-alphabet template and are far longer.
-    Every produced certificate is replayed by `check_derivation`, and every
-    normal form is compared against direct diagram evaluation.  Also spot
-    checks that word equality is an equivalence relation agreeing with
-    diagram equality on mutated triples.  Raises ValueError for a negative
-    `count` or `max_len`.
+    Every certificate is replayed by `check_derivation`, and every normal
+    form and certificate end word is compared against direct diagram
+    evaluation.  Also spot checks that word equality is an equivalence
+    relation agreeing with diagram equality on mutated triples.  Raises
+    ValueError for a negative `count` or `max_len`.
     """
     if n < 3:
         raise DegreeOutOfRange("fuzzing needs n >= 3")
@@ -267,37 +268,24 @@ def fuzz_words(n: int, count: int, max_len: int = 50,
     t0 = time.perf_counter()
     rng = random.Random(seed)
     lanes = []
-
-    for alphabet in ("LR", "E"):
+    for lane, alphabet, words, length, certifier in (
+            ("LR", "LR", count, max_len, normal_form),
+            ("E", "E", count, max_len,
+             lambda w: normal_form(hooks_to_pairs(w))),
+            ("E/xi", "E", min(count, 150), min(max_len, 12), certify)):
         nf_bad = cert_bad = 0
-        for _ in range(count):
-            w = _random_word(rng, n, alphabet, max_len)
+        for _ in range(words):
+            w = _random_word(rng, n, alphabet, length)
             t, _ = evaluate(w)
-            bl, br = boundary_tuples(t)
-            nf, d = normal_form(w)
-            if nf.x != bl or nf.y != br:
+            nf, d = certifier(w)
+            if ((nf.x, nf.y) != boundary_tuples(t)
+                    or evaluate(d.end_word())[0] != t):
                 nf_bad += 1
             try:
                 check_derivation(d)
             except TLError:
                 cert_bad += 1
-        lanes.append(LaneStats(alphabet, count, nf_bad, cert_bad))
-
-    xi_count = min(count, 150)
-    xi_len = min(max_len, 12)
-    nf_bad = cert_bad = 0
-    for _ in range(xi_count):
-        w = _random_word(rng, n, "E", xi_len)
-        t, _ = evaluate(w)
-        bl, br = boundary_tuples(t)
-        nf, canonical, d = normal_form_E(w)
-        if nf.x != bl or nf.y != br or evaluate(canonical)[0] != t:
-            nf_bad += 1
-        try:
-            check_derivation(d)
-        except TLError:
-            cert_bad += 1
-    lanes.append(LaneStats("E/xi", xi_count, nf_bad, cert_bad))
+        lanes.append(LaneStats(lane, words, nf_bad, cert_bad))
 
     triples = min(25, count)
     triple_bad = 0

@@ -91,6 +91,24 @@ def test_xi_cert_for_hook_words(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("word", ["R2 L2", "E1 E2 E1", "1", "L1 R1 L2"])
+def test_a_certificate_checks_against_the_word_it_certifies(word, tmp_path):
+    cert = str(tmp_path / "f.cert")
+    assert run_cli("nf", "--n", "5", word, "--cert", cert)[0] == 0
+    assert run_cli("check-cert", cert, "--n", "5", word)[0] == 0
+
+
+@pytest.mark.parametrize("word", ["E1 L2", "L3 E1 R2"])
+def test_nf_cert_refuses_a_word_mixing_the_alphabets(word, tmp_path):
+    # neither presentation has both E and L/R letters, so no certificate
+    # can start at the word
+    cert = tmp_path / "f.cert"
+    code, out, err = run_cli("nf", "--n", "5", word, "--cert", str(cert))
+    assert (code, out) == (2, "")
+    assert "E1" in err
+    assert not cert.exists()
+
+
 def test_alg_element_output():
     code, out, _ = run_cli("alg", "--n", "5", "E4 E4", "--delta", "2")
     assert code == 0
@@ -124,13 +142,17 @@ def test_render_smoke():
     assert lines[-1].split() == [f"{i}'" for i in range(1, 10)]
 
 
-def test_usage_errors_exit_two():
+def test_usage_errors_exit_two(tmp_path):
     code, _, err = run_cli("nf", "--n", "5", "L9 bogus")
     assert code == 2 and "bogus" in err
     code, _, err = run_cli("nf", "L1")
     assert code == 2
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+    cert = tmp_path / "s.cert"
+    cert.write_text("n=5; family=Sigma\nend=L1\n")
+    code, _, err = run_cli("check-cert", str(cert), "--n", "5", "L1")
+    assert code == 2 and "bad derivation header" in err
 
 
 # every integer is read only in the spelling `str(int)` gives
@@ -241,9 +263,16 @@ def _random_word(rng, n, alphabet):
 
 def test_nf_and_eq_from_the_diagram_agree_with_rewriting(capsys):
     # without --cert, nf and eq read their answers off the diagram; the
-    # rewriting normal forms must give the same fields and verdicts
-    from tlmonoid import (equal_words, normal_form, normal_form_E,
+    # rewriting normal forms must give the same fields and verdicts.  A word
+    # mixing E with L/R letters is certified by neither presentation, so
+    # its reference is the normal form of its lift E_i -> L_i R_i
+    from tlmonoid import (certify, equal_words, hooks_to_pairs,
                           word_from_text, word_to_text)
+
+    def unmixed(w):
+        mixed = "E" in w.alphabets() and len(w.alphabets()) > 1
+        return hooks_to_pairs(w) if mixed else w
+
     rng = random.Random(12)
     verdicts = set()
     for _ in range(150):
@@ -251,11 +280,8 @@ def test_nf_and_eq_from_the_diagram_agree_with_rewriting(capsys):
         alphabet = rng.choice(["LR", "LRE", "E"])
         text = _random_word(rng, n, alphabet)
         w = word_from_text(n, text)
-        if w.letters and w.alphabets() <= {"E"}:
-            nf, canonical, _ = normal_form_E(w)
-        else:
-            nf, _ = normal_form(w)
-            canonical = nf.word
+        nf, d = certify(unmixed(w))
+        canonical = d.end_word()
         code, out = main_in_process(
             ["nf", "--n", str(n), text, "--format", "doc"], capsys)
         assert code == 0
@@ -265,7 +291,8 @@ def test_nf_and_eq_from_the_diagram_agree_with_rewriting(capsys):
             "canonical": word_to_text(canonical)}
         for other in (word_to_text(canonical),
                       _random_word(rng, n, alphabet)):
-            equal = equal_words(w, word_from_text(n, other)).equal
+            equal = equal_words(unmixed(w),
+                                unmixed(word_from_text(n, other))).equal
             code, out = main_in_process(["eq", "--n", str(n), text, other],
                                         capsys)
             assert (code, out.splitlines()[0]) == (
@@ -282,8 +309,7 @@ def test_eq_and_nf_without_cert_do_not_rewrite(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("rewriting without --cert")
 
-    monkeypatch.setattr(cli, "normal_form", refuse)
-    monkeypatch.setattr(cli, "normal_form_E", refuse)
+    monkeypatch.setattr(cli, "certify", refuse)
     w24 = " ".join(f"R{i}" for i in range(1, 48, 2)) + " L1"
     assert main_in_process(["eq", "--n", "49", w24, w24], capsys) == (
         0, "equal\n")

@@ -134,6 +134,15 @@ def test_equal_words_across_alphabets():
     assert res.derivation2.family == "Omega"
 
 
+@pytest.mark.parametrize("word", ["E1 L2", "R3 E2"])
+def test_certify_and_equal_words_refuse_a_mixed_word(word):
+    # neither presentation has both E and L/R letters
+    with pytest.raises(AlphabetError, match="normal_form got a E letter"):
+        etranslate.certify(W(5, word))
+    with pytest.raises(AlphabetError):
+        equal_words(W(5, "E1"), W(5, word))
+
+
 def _random_e_word(rng, n, length):
     return Word(n, tuple(W(n, f"E{rng.randint(1, n - 1)}").letters[0]
                          for _ in range(length)))

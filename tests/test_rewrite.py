@@ -19,6 +19,7 @@ from tlmonoid import (
     enumerate_tuples,
     equal_words,
     evaluate,
+    hooks_to_pairs,
     normal_form,
     push_lambda,
     reduce_one_sided,
@@ -228,12 +229,17 @@ def test_normal_form_empty():
     assert d.steps == ()
 
 
-def test_normal_form_lifts_hooks():
-    nf, d = normal_form(W(5, "E1 E2 E1"))
+def test_normal_form_refuses_hook_letters():
+    # a certificate starts at its word, and Omega has no E letter
+    with pytest.raises(AlphabetError, match="normal_form got a E letter"):
+        normal_form(W(5, "E1 E2 E1"))
+
+
+def test_normal_form_of_the_lifted_hook_word():
+    nf, d = normal_form(hooks_to_pairs(W(5, "E1 E2 E1")))
     assert (nf.x.entries, nf.y.entries) == ((1,), (1,))
     assert d.start == W(5, "L1 R1 L2 R2 L1 R1").letters
-    assert d.note != ""
-    check_derivation(d)
+    assert check_derivation(d) == nf.word
 
 
 def test_normal_form_word_length_bound():
@@ -360,6 +366,10 @@ def test_derivation_text_rejects_garbage():
     for n in ("05", "\u0665", "+5", "5.0"):
         with pytest.raises(ValueError, match="bad derivation header"):
             derivation_from_text(f"n={n}; family=Omega\nend=L1", W(5, "L1"))
+    # the family is read only as one of the two presentations
+    for family in ("Sigma", "OmegaL", "omega", "Xi2"):
+        with pytest.raises(ValueError, match="bad derivation header"):
+            derivation_from_text(f"n=5; family={family}\nend=L1", W(5, "L1"))
     # a step position that parses but lies before the word is refused by
     # the replay
     d = derivation_from_text("n=5; family=Omega\n-1:A:fwd\nend=R4",
