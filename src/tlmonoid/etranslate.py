@@ -178,6 +178,12 @@ def _tmpl_RL3(n, i, j):
     return b.steps
 
 
+# the builder of each relation's template; R1..R3 mirror those of L1..L3
+_TEMPLATE_BUILDERS = {"A": lambda n: [], "L1": _tmpl_L1, "L2": _tmpl_L2,
+                      "L3": _tmpl_L3, "RL1": _tmpl_RL1, "RL2": _tmpl_RL2,
+                      "RL3": _tmpl_RL3}
+
+
 @lru_cache(maxsize=None)
 def xi_template(n: int, rid: str) -> tuple[Step, ...]:
     """E-alphabet steps turning hat(lhs) into hat(rhs) for an Omega relation.
@@ -186,22 +192,9 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
     side; the surrounding word is never touched.
     """
     rel = relation_by_id(n, rid)      # validates the id and its parameters
-    name, args = rel.name, rel.args
-    if name == "A":
-        steps = []
-    elif name == "L1":
-        steps = _tmpl_L1(n, *args)
-    elif name == "L2":
-        steps = _tmpl_L2(n, *args)
-    elif name == "L3":
-        steps = _tmpl_L3(n, *args)
-    elif name == "RL1":
-        steps = _tmpl_RL1(n, *args)
-    elif name == "RL2":
-        steps = _tmpl_RL2(n, *args)
-    elif name == "RL3":
-        steps = _tmpl_RL3(n, *args)
-    elif name in ("R1", "R2", "R3"):
+    if rel.name in _TEMPLATE_BUILDERS:
+        steps = _TEMPLATE_BUILDERS[rel.name](n, *rel.args)
+    elif rel.name in ("R1", "R2", "R3"):
         # hat(dagger(w)) is hat(w) reversed, so the template of R1..R3 is
         # the mirror of the template of the L relation it is the dagger of
         mate = _dagger(rel)

@@ -9,10 +9,11 @@ pipeline that finds it is:
      into tuple form, absorbing letters with large index and inserting
      the rest through chains of L2 moves; a rho word is folded as the
      mirror of the L fold of its dagger image (`relations.mirror_steps`);
-  2. separation: a mixed word is swept left to right, pushing each lambda
-     letter through the rho suffix with the RL rules, the residue never
-     growing longer; a memo maps each (suffix, letter) push to a node that
-     points at its sub-pushes, and one walk makes each push step once;
+  2. separation: a mixed word is swept left to right by `_sweep_step`, the
+     one transition of the state (x, v), the lambda tuple and the reduced
+     rho suffix; it pushes each lambda letter through the rho suffix with
+     the RL rules, and a memo maps each (suffix, letter) push to a node
+     that points at its sub-pushes, so one walk makes each step once;
   3. balancing: the shorter side is padded one letter at a time so the two
      tuples reach equal length, then re-folded.
 
@@ -246,29 +247,32 @@ def _lrlr_rho(n, z):
 
 # -- the pipeline ----------------------------------------------------------------
 
+def _sweep_step(n, x, v, c, out, fold_memo, push_memo):
+    """L_x R_v c ~ L_x' R_v': append the steps to `out`, return (x', v').
+
+    The sweep's one transition: its steps depend only on (x, v, c) and stay
+    inside `L_x R_v c`, which starts at position 0.
+    """
+    if c.alphabet == "R":
+        return x, _refold_R(n, v + (c.index,), out, len(x), fold_memo)
+    node = _push(n, v, c.index, push_memo)
+    _push_steps(node, len(x), out)
+    x = _fold_word(n, x, node[0], out, fold_memo)
+    return x, _refold_R(n, node[1], out, len(x), fold_memo)
+
+
 def _separate_fold(n, letters, out, fold_memo):
     """Sweep the word; keep the lambda tuple and the reduced rho suffix."""
-    x: tuple[int, ...] = ()
-    v: tuple[int, ...] = ()
-    push_memo: dict = {}
+    x, v, push_memo = (), (), {}
     for c in letters:
-        if c.alphabet == "R":
-            v = _refold_R(n, v + (c.index,), out, len(x), fold_memo)
-        else:
-            lam, resid, *_ = node = _push(n, v, c.index, push_memo)
-            _push_steps(node, len(x), out)
-            x = _fold_word(n, x, lam, out, fold_memo)
-            if resid == v[:len(resid)]:
-                v = resid   # untouched prefix of a reduced word stays reduced
-            else:
-                v = _refold_R(n, resid, out, len(x), fold_memo)
+        x, v = _sweep_step(n, x, v, c, out, fold_memo, push_memo)
     return x, v
 
 
 def _balance(n, x, v, out, fold_memo):
     # each padding step lengthens the shorter side by one letter; that the
-    # tuples end equal is checked against the diagram by the fuzz and
-    # property tests
+    # tuples end equal and are the diagram's is proved for every state at
+    # n <= 9 by tests/test_sweep_proof.py
     k, l = len(x), len(v)
     if k > l:
         for _ in range(k - l):
@@ -414,6 +418,7 @@ def derivation_from_text(text: str, start: Word) -> Derivation:
     if not m:
         raise ValueError(f"bad derivation header {head!r}")
     n, family = int(m.group(1)), m.group(2)
+    _check_degree(n)
     if start.n != n:
         raise DegreeMismatch(f"start word degree {start.n} != header {n}")
     if not lines[-1].startswith("end="):

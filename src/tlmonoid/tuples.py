@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .errors import (
@@ -45,11 +46,11 @@ class TnTuple:
 
 
 def _integer(v) -> int:
-    """`v` itself if it is an integer; a ValueError naming it otherwise."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"{v!r} is not an integer") from None
+    """`v` if it is an int and not a bool; a ValueError naming it otherwise."""
+    if not isinstance(v, bool):
+        with suppress(TypeError):
+            return operator.index(v)
+    raise ValueError(f"{v!r} is not an integer")
 
 
 def check_tuple(n: int, entries) -> TnTuple:

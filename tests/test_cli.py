@@ -153,6 +153,9 @@ def test_usage_errors_exit_two(tmp_path):
     cert.write_text("n=5; family=Sigma\nend=L1\n")
     code, _, err = run_cli("check-cert", str(cert), "--n", "5", "L1")
     assert code == 2 and "bad derivation header" in err
+    cert.write_text("n=2; family=Omega\nend=1\n")
+    code, _, err = run_cli("check-cert", str(cert), "--n", "2", "1")
+    assert code == 2 and "presentations need n >= 3" in err
 
 
 # every integer is read only in the spelling `str(int)` gives

@@ -39,7 +39,7 @@ def W(n, text):
 def test_every_template_replays_to_the_hat_image():
     # replay every Omega relation's template on hat(lhs), with context on
     # both sides, and land exactly on hat(rhs)
-    for n in range(3, 8):
+    for n in range(3, 10):
         for rel in relation_set(n, "Omega"):
             tmpl = xi_template(n, rel.rid)
             pad = [n - 1, 1] if n > 2 else []
@@ -202,8 +202,8 @@ def test_lifted_replay_refuses_a_moved_step():
 
 
 def _drop_last_rl2_step(monkeypatch):
-    build = etranslate._tmpl_RL2
-    monkeypatch.setattr(etranslate, "_tmpl_RL2",
+    build = etranslate._TEMPLATE_BUILDERS["RL2"]
+    monkeypatch.setitem(etranslate._TEMPLATE_BUILDERS, "RL2",
                         lambda n, i, j: build(n, i, j)[:-1])
 
 
@@ -235,8 +235,9 @@ def test_broken_template_is_caught_under_optimize():
         if end != canonical:
             sys.exit("certificate does not end on the canonical word")
 
-        build = etranslate._tmpl_RL2
-        etranslate._tmpl_RL2 = lambda n, i, j: build(n, i, j)[:-1]
+        builders = etranslate._TEMPLATE_BUILDERS
+        build = builders["RL2"]
+        builders["RL2"] = lambda n, i, j: build(n, i, j)[:-1]
         xi_template.cache_clear()
         try:
             normal_form_E(word_from_text(5, "E2 E2"))

@@ -595,6 +595,8 @@ def test_doc_rejects_malformed_fields_with_value_error(doc):
     ({"n": 2, "blocks": [["1", 2], [-1, -2]]}, "'1'"),
     ({"n": "2", "blocks": [[1, 2], [-1, -2]]}, "'2'"),
     ({"n": 2.0, "blocks": [[1, 2], [-1, -2]]}, "2.0"),
+    ({"n": True, "blocks": [[1, -1]]}, "True"),
+    ({"n": 1, "blocks": [[True, -1]]}, "True"),
 ])
 def test_doc_refuses_non_integers(doc, bad):
     with pytest.raises(ValueError, match=re.escape(bad)):
