@@ -14,7 +14,7 @@ top of `rewrite.normal_form` of its lift.  The key ingredients:
   * far-apart letters commute, so whole segments can be walked across each
     other with E2 swaps;
   * the rho relations are the dagger images of the lambda relations, so
-    their templates are the lambda templates reflected by
+    each one's template is the template of its `mirror` reflected by
     `relations.mirror_steps`.
 
 Templates are relative to position 0 and are cached per (degree, relation).
@@ -33,7 +33,6 @@ from .errors import BadStep, DegreeMismatch, FamilyViolation
 from .relations import (
     Step,
     _check_degree,
-    _dagger,
     _new,
     mirror_steps,
     relation_by_id,
@@ -196,10 +195,9 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
         steps = _TEMPLATE_BUILDERS[rel.name](n, *rel.args)
     elif rel.name in ("R1", "R2", "R3"):
         # hat(dagger(w)) is hat(w) reversed, so the template of R1..R3 is
-        # the mirror of the template of the L relation it is the dagger of
-        mate = _dagger(rel)
-        steps = mirror_steps(n, len(_hat_indices(n, mate.lhs)),
-                             xi_template(n, mate.rid))
+        # the template of its dagger image, `rel.mirror`, reflected
+        steps = mirror_steps(n, len(_hat_indices(n, rel.lhs)),
+                             xi_template(n, rel.mirror))
     else:
         raise ValueError(f"no hook-alphabet template for relation {rid!r}")
     # the proof every placement of this template rests on

@@ -16,8 +16,9 @@ Family Omega lives on L u R and splits into
 (the alias A carries the identification of the two top-index generators,
 so every step names a single unambiguous replacement).  R1-R3 are the
 dagger images of L1-L3: each side reversed, with L_i and R_i exchanged;
-they are built that way, and `mirror_steps` reflects whole derivations by
-the same rule.  Family Xi lives on the hook alphabet:
+they are built that way.  Every `Relation` carries the id of its dagger
+image (`mirror`), and `mirror_steps` reflects whole derivations by it.
+Family Xi lives on the hook alphabet:
 
     E1(i):    E_i E_i     = E_i
     E2(i,j):  E_i E_j     = E_j E_i     (|i-j| > 1)
@@ -77,6 +78,7 @@ class Relation:
     rhs: tuple[Letter, ...]
     name: str
     args: tuple[int, ...]
+    mirror: str | None   # the id of the dagger image; None for RL1..RL3, A
 
     def __str__(self) -> str:
         lhs = " ".join(map(str, self.lhs)) or "1"
@@ -114,10 +116,6 @@ def reverse_steps(steps) -> list[Step]:
 
 def _rid(name, args):
     return f"{name}({','.join(map(str, args))})" if args else name
-
-
-def _rel(name, args, lhs, rhs):
-    return Relation(_rid(name, args), lhs, rhs, name, args)
 
 
 def _check_degree(n: int) -> None:
@@ -183,7 +181,7 @@ def _rel_E3(n, i, j):
 # Dagger reverses a word and swaps L_i <-> R_i; E_i is its own image.  It
 # carries L1/L2/L3 onto R1/R2/R3 with the same parameters, E2(i,j) onto
 # E2(j,i), and E1, E3 onto themselves.  RL1..RL3 and A have no image among
-# the relations.
+# the relations.  `_rel` states each relation's image once, as its `mirror`.
 
 _DAGGER_NAME = {"L1": "R1", "L2": "R2", "L3": "R3",
                 "R1": "L1", "R2": "L2", "R3": "L3",
@@ -191,30 +189,25 @@ _DAGGER_NAME = {"L1": "R1", "L2": "R2", "L3": "R3",
 _DAGGER_ALPHABET = {"L": "R", "R": "L", "E": "E"}
 
 
+def _rel(name, args, lhs, rhs):
+    image = _DAGGER_NAME.get(name)
+    if image is not None:
+        image = _rid(image, args[::-1] if name == "E2" else args)
+    return Relation(_rid(name, args), lhs, rhs, name, args, image)
+
+
 def _dagger_letters(letters):
     return tuple(letter(_DAGGER_ALPHABET[c.alphabet], c.index)
                  for c in reversed(letters))
 
 
-def _dagger_id(rel: Relation) -> tuple[str, tuple[int, ...]]:
-    """(name, args) of the dagger image of `rel`."""
-    name = _DAGGER_NAME.get(rel.name)
-    if name is None:
-        raise ValueError(f"{rel.rid} has no mirror image among the relations")
-    return name, rel.args[::-1] if name == "E2" else rel.args
-
-
-def _dagger(rel: Relation) -> Relation:
-    """The relation whose sides are the dagger images of `rel`'s sides."""
-    name, args = _dagger_id(rel)
-    return Relation(_rid(name, args), _dagger_letters(rel.lhs),
-                    _dagger_letters(rel.rhs), name, args)
-
-
 def _mirrored(ctor):
+    # R1..R3 from L1..L3: each relation `ctor` builds, with its sides
+    # replaced by their dagger images and the same parameters
     def mirrored(n, *args):
         rel = ctor(n, *args)
-        return None if rel is None else _dagger(rel)
+        return rel and _rel(_DAGGER_NAME[rel.name], args,
+                            _dagger_letters(rel.lhs), _dagger_letters(rel.rhs))
     return mirrored
 
 
@@ -223,18 +216,21 @@ def mirror_steps(n: int, length: int, steps) -> list[Step]:
 
     A step matching m letters at position p becomes the dagger image of its
     relation matching at `length - p - m`; the running length follows the
-    relation's side lengths, so the word itself is never replayed.  Raises
-    ValueError for a relation without a mirror image (RL1..RL3, A).
-    Reflecting twice returns the input.  Reflecting with `length + d`
-    instead of `length` places the image d letters further right.
+    relation's side lengths, so the word itself is never replayed.  The
+    image's id is the relation's `mirror`; ValueError names a relation
+    without one (RL1..RL3, A).  Reflecting twice returns the input.
+    Reflecting with `length + d` instead of `length` places the image d
+    letters further right.
     """
     out = []
     for p, rid, fwd in steps:
         rel = relation_by_id(n, rid)
+        if rel.mirror is None:
+            raise ValueError(f"{rid} has no mirror image among the relations")
         src, dst = len(rel.lhs), len(rel.rhs)
         if not fwd:
             src, dst = dst, src
-        out.append(_new(Step, (length - p - src, _rid(*_dagger_id(rel)), fwd)))
+        out.append(_new(Step, (length - p - src, rel.mirror, fwd)))
         length += dst - src
     return out
 

@@ -25,8 +25,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .errors import CrossingError, DegreeError, DegreeMismatch, NotAMatching
-from .tuples import TnTuple, _canonical_int, _integer, check_tuple
+from .errors import CrossingError, DegreeMismatch, NotAMatching
+from .tuples import (TnTuple, _canonical_int, _check_positive, _integer,
+                     check_tuple)
 
 __all__ = [
     "Tangle",
@@ -158,14 +159,14 @@ def _check_planar(n: int, p: tuple[int, ...], tops=None, bottoms=None) -> None:
 def make_tangle(n: int, blocks) -> Tangle:
     """Validating constructor.
 
-    Raises DegreeError for n < 1, ValueError (naming it) for a point that is
-    not an integer, NotAMatching unless every point of {+-1, ..., +-n}
-    occurs in exactly one two-point block, and CrossingError (naming the two
-    offending blocks) if any blocks interleave.  Blocks of size other than
-    two are rejected: this monoid has no wider blocks.
+    Raises DegreeError unless n is a positive int (a bool is refused),
+    ValueError (naming it) for a point that is not an integer, NotAMatching
+    unless every point of {+-1, ..., +-n} occurs in exactly one two-point
+    block, and CrossingError (naming the two offending blocks) if any
+    blocks interleave.  Blocks of size other than two are rejected: this
+    monoid has no wider blocks.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DegreeError(f"degree must be a positive integer, got {n!r}")
+    _check_positive(n)
     seen = set()
     pairs = []
     for blk in blocks:
@@ -192,11 +193,10 @@ def make_tangle(n: int, blocks) -> Tangle:
     return Tangle(n, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: identity(True) is refused
 def identity(n: int) -> Tangle:
     """The unit of TL_n: n vertical strings."""
-    if not isinstance(n, int) or n < 1:
-        raise DegreeError(f"degree must be a positive integer, got {n!r}")
+    _check_positive(n)
     return Tangle(n, (0, *range(n + 1, 2 * n + 1), *range(1, n + 1)))
 
 

@@ -53,6 +53,12 @@ def _integer(v) -> int:
     raise ValueError(f"{v!r} is not an integer")
 
 
+def _check_positive(n) -> None:
+    """Raise DegreeError unless the degree `n` is an int >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DegreeError(f"degree must be a positive integer, got {n!r}")
+
+
 def check_tuple(n: int, entries) -> TnTuple:
     """Validate membership in T_n and return the tuple.
 
@@ -82,8 +88,7 @@ def enumerate_tuples(n: int, k: int | None = None) -> list[TnTuple]:
     Depth-first emission with ascending entries is exactly lexicographic
     order on the entry lists, which keeps golden tests stable.
     """
-    if n < 1:
-        raise DegreeError(f"degree must be >= 1, got {n}")
+    _check_positive(n)
     if k is not None and not 0 <= k <= n // 2:
         raise LengthOutOfRange(f"length {k} outside [0, {n // 2}]")
     out: list[TnTuple] = []

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import DegreeError, DegreeOutOfRange, DegreeTooLarge, TLError
+from .errors import DegreeOutOfRange, DegreeTooLarge, TLError
 from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
-from .tuples import enumerate_tuples
+from .tuples import _check_positive, enumerate_tuples
 from .words import (Word, balanced_word, build_tangle, evaluate, hat,
                     hooks_to_pairs, letter)
 from .rewrite import check_derivation, normal_form
@@ -60,7 +60,7 @@ def _offset_matchings(length: int, memo: dict) -> list[tuple[int, ...]]:
     return memo[length]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: enumerate_TL(True) is refused
 def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     """All tangles of degree n, deterministically ordered.
 
@@ -68,8 +68,7 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     The diagrams are non-crossing by construction and are not passed
     through `_check_planar`; the tests check every one up to n = 8.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DegreeError(f"degree must be a positive integer, got {n!r}")
+    _check_positive(n)
     if n > _MAX_ENUM_DEGREE:
         raise DegreeTooLarge(f"enumeration capped at degree {_MAX_ENUM_DEGREE}")
     # boundary position r (from 0) -> encoded point (+i is i, -i is n + i);

@@ -257,6 +257,14 @@ def test_mirror_maps_each_relation_to_its_dagger_image():
                     assert m.rhs == dagger_letters(rel.rhs), rel.rid
                     hit.add(s.rid)
             assert hit == set(image)
+        # each relation carries its image's id: the id mirror_steps emits
+        for rel in relation_set(n, "Omega") + relation_set(n, "Xi"):
+            if rel.name in ("RL1", "RL2", "RL3", "A"):
+                assert rel.mirror is None, rel.rid
+                continue
+            (s,) = mirror_steps(n, len(rel.lhs), [Step(0, rel.rid)])
+            assert rel.mirror == s.rid, rel.rid
+            assert relation_by_id(n, rel.mirror).mirror == rel.rid
 
 
 def test_mirror_reflects_positions_and_tracks_length():

@@ -122,6 +122,9 @@ def test_make_tangle_rejects_huge_degree_without_allocating():
 def test_make_tangle_rejects_bad_degree():
     with pytest.raises(DegreeError):
         make_tangle(0, [])
+    with pytest.raises(DegreeError,
+                       match="^degree must be a positive integer, got True$"):
+        make_tangle(True, [(1, -1)])
 
 
 def test_make_tangle_rejects_non_matching():
@@ -167,6 +170,9 @@ def test_identity_blocks():
     assert identity(3).blocks == ((1, -1), (2, -2), (3, -3))
     with pytest.raises(DegreeError):
         identity(0)
+    identity(1)
+    with pytest.raises(DegreeError):
+        identity(True)      # not the cached identity(1)
 
 
 def test_identity_is_neutral():

@@ -4,6 +4,7 @@ import pytest
 
 from tlmonoid import (
     BoundViolation,
+    DegreeError,
     LengthOutOfRange,
     NotDecreasing,
     check_tuple,
@@ -77,6 +78,12 @@ def test_length_out_of_range():
         enumerate_tuples(5, 3)
     with pytest.raises(LengthOutOfRange):
         enumerate_tuples(5, -1)
+
+
+def test_enumerate_refuses_a_bad_degree():
+    for n in (0, -1, True, 2.0):
+        with pytest.raises(DegreeError, match="^degree must be a positive"):
+            enumerate_tuples(n)
 
 
 def test_square_sum_of_length_counts_is_catalan():

@@ -42,6 +42,9 @@ def test_enumeration_bounds():
         enumerate_TL(13)
     with pytest.raises(DegreeError):
         enumerate_TL(0)
+    enumerate_TL(1)
+    with pytest.raises(DegreeError):
+        enumerate_TL(True)  # not the cached enumerate_TL(1)
 
 
 def test_enumeration_matches_brute_force():
