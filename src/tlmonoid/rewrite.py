@@ -5,17 +5,18 @@ unique balanced word L_{x_1}..L_{x_k} R_{y_k}..R_{y_1} where x and y are the
 upper and lower arc tuples of the diagram the word evaluates to.  The
 pipeline that finds it is:
 
-  1. one-sided folding: a pure lambda word is folded letter by letter
-     into tuple form, absorbing letters with large index and inserting
-     the rest through chains of L2 moves; a rho word is folded as the
-     mirror of the L fold of its dagger image (`relations.mirror_steps`);
+  1. one-sided folding: a pure lambda word is folded letter by letter into
+     tuple form; one loop of L2 moves carries each letter left, to join the
+     tuple or be absorbed by L1/L3; a rho word is folded as the mirror of
+     the L fold of its dagger image (`relations.mirror_steps`);
   2. separation: a mixed word is swept left to right by `_sweep_step`, the
      one transition of the state (x, v), the lambda tuple and the reduced
      rho suffix; it pushes each lambda letter through the rho suffix with
      the RL rules, and a memo maps each (suffix, letter) push to a node
      that points at its sub-pushes, so one walk makes each step once;
-  3. balancing: the shorter side is padded one letter at a time so the two
-     tuples reach equal length, then re-folded.
+  3. balancing: the shorter side is padded one letter at a time, by a lemma
+     block built in one loop over its levels, so the two tuples reach equal
+     length, then re-folded.
 
 Each stage emits explicit `Step` records, so the result of `normal_form` is
 both the canonical word and a replayable proof of equivalence that
@@ -38,7 +39,6 @@ from .relations import (
     mirror_steps,
     replay,
     reverse_steps,
-    shift_steps,
     step_from_text,
     step_to_text,
 )
@@ -92,40 +92,35 @@ class NormalForm:
 # folded as the mirror image under dagger: `_refold_R` folds its reversed
 # indices as a lambda word and reflects the steps.
 
-def _absorb_L(n, x, j, out):
-    # L_x L_j ~ L_x for j >= n-2k; x is left unchanged
+def _fold_letter(n, x, j, out):
+    """L_x L_j ~ L_y: append the steps to `out`, return y.
+
+    L2 moves carry L_j left past each entry not above it; it then joins the
+    tuple, or L1 or L3 absorbs it and y = x.  For j == n-2k with k >= 2,
+    undoing k absorptions of L_{n-2k+1} grows its k-th power next to L_j;
+    L3 collapses the two, and redoing the absorptions sheds the power.
+    """
     k = len(x)
-    if j == n - 1:
-        out.append(Step(k - 1, f"L1({x[-1]})", True))
-    elif j == n - 2:
-        if x[-1] == n - 1:
-            out.append(Step(k - 1, "L3(1)", True))
-        else:
-            out.append(Step(k - 1, f"L1({x[-1]})", False))
-            out.append(Step(k, "L3(1)", True))
-            out.append(Step(k - 1, f"L1({x[-1]})", True))
-    elif j >= n - 2 * k + 1:
-        out.append(Step(k - 1, f"L2({x[-1]},{j})", True))
-        _absorb_L(n, x[:-1], j + 2, out)
-    else:
-        # j == n-2k with k >= 2: grow a full power of L_{n-2k+1} next to the
-        # block, collapse the power against L_{n-2k}, then shed the power
+    if k >= 2 and j == n - 2 * k:
         tmpl: list[Step] = []
-        _absorb_L(n, x, n - 2 * k + 1, tmpl)
-        for _ in range(k):
-            out.extend(reverse_steps(tmpl))
+        _fold_letter(n, x, j + 1, tmpl)
+        out.extend(reverse_steps(tmpl) * k)
         out.append(Step(k, f"L3({k})", True))
-        for _ in range(k):
-            out.extend(tmpl)
-
-
-def _insert_L(n, x, j, out):
-    # L_x L_j ~ L_y with |y| = k+1, for j <= n-2k-1; returns y
-    k = len(x)
-    if k == 0 or x[-1] > j:
-        return x + (j,)
-    out.append(Step(k - 1, f"L2({x[-1]},{j})", True))
-    return _insert_L(n, x[:-1], j + 2, out) + (x[-1],)
+        out.extend(tmpl * k)
+        return x
+    while k and x[k - 1] <= j <= n - 3:
+        out.append(Step(k - 1, f"L2({x[k - 1]},{j})", True))
+        k, j = k - 1, j + 2
+    if j <= n - 2 * k - 1:
+        return x[:k] + (j,) + x[k:]
+    if j == n - 1:
+        out.append(Step(k - 1, f"L1({x[k - 1]})", True))
+    elif x[k - 1] == n - 1:
+        out.append(Step(k - 1, "L3(1)", True))
+    else:
+        out += (Step(k - 1, f"L1({x[k - 1]})", False), Step(k, "L3(1)", True),
+                Step(k - 1, f"L1({x[k - 1]})", True))
+    return x
 
 
 def _fold_word(n, x, js, out, memo):
@@ -140,11 +135,7 @@ def _fold_word(n, x, js, out, memo):
         hit = get((x, j))
         if hit is None:
             steps: list[Step] = []
-            if x and j >= n - 2 * len(x):
-                _absorb_L(n, x, j, steps)
-                y = x
-            else:
-                y = _insert_L(n, x, j, steps)
+            y = _fold_letter(n, x, j, steps)
             hit = memo[x, j] = (y, tuple(steps))
         out.extend(hit[1])
         x = hit[0]
@@ -221,27 +212,27 @@ def _push_steps(node, off, out):
 
 def _lrlr_lambda(n, x):
     # L_x ~ L_x R_{n-2k+1}: steps inserting the rho letter at position k
-    k = len(x)
-    if k == 1:
-        return [Step(0, f"L1({x[0]})", False), Step(1, "A", True)]
-    steps = _lrlr_lambda(n, x[:-1])
-    steps.append(Step(k - 1, f"RL1({n - 2 * k + 3},{x[-1]})", True))
-    steps.append(Step(k - 2, f"L1({x[-2]})", True))
+    steps = [Step(0, f"L1({x[0]})", False), Step(1, "A", True)]
+    for i in range(1, len(x)):
+        steps.append(Step(i, f"RL1({n - 2 * i + 1},{x[i]})", True))
+        steps.append(Step(i - 1, f"L1({x[i - 1]})", True))
     return steps
 
 
-def _lrlr_rho(n, z):
-    # R_z ~ L_{n-2l+1} R_z: steps relative to the start of the rho block
+def _lrlr_rho(n, z, off):
+    # R_z ~ L_{n-2l+1} R_z for the rho block at `off`: level i of the lemma
+    # acts l-i letters right of the block's start
     l = len(z)
-    if l == 1:
-        return [Step(0, f"R1({z[0]})", False), Step(0, "A", False)]
-    steps = shift_steps(_lrlr_rho(n, z[:-1]), 1)
-    steps.append(Step(0, f"RL3({z[-1]},{n - 2 * l + 3})", True))
-    steps.append(Step(0, f"L2({n - 2 * l + 1},{n - 3})", False))
-    steps.append(Step(0, f"L1({n - 2 * l + 1})", False))
-    steps.append(Step(1, f"RL3({z[-1]},{n - 1})", False))
-    steps.append(Step(2, "A", True))
-    steps.append(Step(2, f"R1({z[-2]})", True))
+    p = off + l - 1
+    steps = [Step(p, f"R1({z[0]})", False), Step(p, "A", False)]
+    for i in range(2, l + 1):
+        p -= 1
+        steps += (Step(p, f"RL3({z[i - 1]},{n - 2 * i + 3})", True),
+                  Step(p, f"L2({n - 2 * i + 1},{n - 3})", False),
+                  Step(p, f"L1({n - 2 * i + 1})", False),
+                  Step(p + 1, f"RL3({z[i - 1]},{n - 1})", False),
+                  Step(p + 2, "A", True),
+                  Step(p + 2, f"R1({z[i - 2]})", True))
     return steps
 
 
@@ -272,16 +263,18 @@ def _separate_fold(n, letters, out, fold_memo):
 def _balance(n, x, v, out, fold_memo):
     # each padding step lengthens the shorter side by one letter; that the
     # tuples end equal and are the diagram's is proved for every state at
-    # n <= 9 by tests/test_sweep_proof.py
+    # n <= 9 by tests/test_sweep_proof.py.  The longer side never changes,
+    # so the lambda block is built once; a rho block is built at its offset
     k, l = len(x), len(v)
     if k > l:
+        pad = _lrlr_lambda(n, x)
         for _ in range(k - l):
-            out.extend(_lrlr_lambda(n, x))
+            out.extend(pad)
             v = _refold_R(n, (n - 2 * k + 1,) + v, out, k, fold_memo)
     elif l > k:
         z = v[::-1]
         for _ in range(l - k):
-            out.extend(shift_steps(_lrlr_rho(n, z), len(x)))
+            out.extend(_lrlr_rho(n, z, len(x)))
             x = _fold_word(n, x, (n - 2 * l + 1,), out, fold_memo)
     return x, v
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AlphabetError, DegreeMismatch, LengthMismatch
 from .tangles import Tangle, _check_planar, identity
-from .tuples import TnTuple, _canonical_int
+from .tuples import TnTuple, _canonical_int, _integer
 
 __all__ = [
     "Letter",
@@ -58,6 +58,8 @@ _CACHE: dict[tuple[str, int], Letter] = {}
 
 def letter(alphabet: str, index: int) -> Letter:
     """Interned letter; identical (alphabet, index) yields the same object."""
+    if index.__class__ is not int:      # as keys, True and 2.0 are 1 and 2
+        index = _integer(index)
     key = (alphabet, index)
     got = _CACHE.get(key)
     if got is None:

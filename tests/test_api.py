@@ -61,3 +61,18 @@ def test_no_module_imports_inside_a_function(path):
             for node in ast.walk(fn)
             if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert late == []
+
+
+def test_readme_quick_start_runs_and_its_comments_hold():
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    exec(compile(block, str(readme), "exec"), ns)
+    assert (str(ns["bl"]), str(ns["br"])) == ("(5,3,2)", "(7,4,1)")
+    assert f"# {ns['bl']} and {ns['br']}" in block
+    nf = ns["nf"]
+    assert f"x={nf.x} y={nf.y}" == "x=(4) y=(4)"
+    assert f"# x={nf.x} y={nf.y} plus" in block
+    assert ns["report"].passed

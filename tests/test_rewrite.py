@@ -20,6 +20,7 @@ from tlmonoid import (
     equal_words,
     evaluate,
     hooks_to_pairs,
+    letter,
     normal_form,
     push_lambda,
     reduce_one_sided,
@@ -28,6 +29,8 @@ from tlmonoid import (
     word_from_text,
     word_to_text,
 )
+from tlmonoid.relations import replay
+from tlmonoid.rewrite import _lrlr_lambda, _lrlr_rho
 
 from oracles import flat_push
 
@@ -169,6 +172,34 @@ def test_push_through_alternate_odd_rho_letters(k):
     check_derivation(d)
     _, nf_d = normal_form(W(n, rho + " L1"))
     check_derivation(nf_d)
+
+
+# a tuple longer than the interpreter's recursion limit: every fold, carry
+# and padding block is a loop
+_DEEP_N, _DEEP_X = 2501, tuple(range(1200, 0, -1))
+
+
+@pytest.mark.parametrize("fold", [
+    lambda w: separate(w)[2], lambda w: reduce_one_sided(w)[1]],
+    ids=["separate", "reduce_one_sided"])
+def test_fold_carries_a_letter_past_a_long_tuple(fold):
+    # L1 is carried left past all 1,200 entries by L2 moves, then joins
+    text = " ".join(f"L{i}" for i in _DEEP_X)
+    d = fold(W(_DEEP_N, text + " L1"))
+    assert len(d.steps) == 1200
+    assert all(s.rid.startswith("L2(") for s in d.steps)
+    assert check_derivation(d) == W(_DEEP_N, "L2401 " + text)
+
+
+def test_padding_blocks_of_a_long_tuple_replay():
+    n, x = _DEEP_N, _DEEP_X
+    k = len(x)
+    lam = [letter("L", i) for i in x]
+    rho = [letter("R", i) for i in reversed(x)]
+    assert replay(n, lam[:], _lrlr_lambda(n, x), "Omega") == (
+        lam + [letter("R", n - 2 * k + 1)])
+    assert replay(n, rho[:], _lrlr_rho(n, x, 0), "Omega") == (
+        [letter("L", n - 2 * k + 1)] + rho)
 
 
 def test_push_rejects_bad_input():

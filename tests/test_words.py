@@ -20,8 +20,10 @@ from tlmonoid import (
     hat,
     hooks_to_pairs,
     identity,
+    letter,
     make_tangle,
     normal_form,
+    push_lambda,
     tuple_words,
     word_from_text,
     word_to_text,
@@ -183,3 +185,19 @@ def test_balanced_word_letters():
     w = balanced_word(check_tuple(9, (5, 3, 2)), check_tuple(9, (7, 4, 1)))
     assert word_to_text(w) == "L5 L3 L2 R1 R4 R7"
     assert balanced_word(check_tuple(4, ()), check_tuple(4, ())) == W(4, "1")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: letter("L", True),
+    lambda: letter("E", 2.0),
+    lambda: generator(5, "e", True),
+    lambda: push_lambda(W(5, "R4"), True),
+], ids=["bool", "float", "generator", "push_lambda"])
+def test_letter_refuses_a_bool_or_float_index(call):
+    # True == 1 and 2.0 == 2 as cache keys: the refusal comes first, so
+    # the cached L1 and E2 stay as they are
+    L(1), E(2)
+    with pytest.raises(ValueError, match="not an integer"):
+        call()
+    assert (str(L(1)), str(E(2))) == ("L1", "E2")
+    assert str(W(5, "L1 R2")) == "L1 R2"
