@@ -12,8 +12,7 @@ pipeline that finds it is:
   2. separation: a mixed word is swept left to right by `_sweep_step`, the
      one transition of the state (x, v), the lambda tuple and the reduced
      rho suffix; it pushes each lambda letter through the rho suffix with
-     the RL rules, and a memo maps each (suffix, letter) push to a node
-     that points at its sub-pushes, so one walk makes each step once;
+     the RL rules, in one loop that emits each step at its final position;
   3. balancing: the shorter side is padded one letter at a time, by a lemma
      block built in one loop over its levels, so the two tuples reach equal
      length, then re-folded.
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import AlphabetError, DegreeMismatch, EndMismatch
 from .relations import (
@@ -158,54 +158,42 @@ def _refold_R(n, idxs, out, offset, memo):
 
 # -- pushing a lambda letter through a rho word --------------------------------
 
-def _push(n, p, j, memo):
-    """P L_j ~ Lambda P' with only RL steps; returns the push node.
+@lru_cache(maxsize=None)
+def _rl(n, i, j):
+    """R_i L_j ~ the RL rule's right side: its id and the letters it leaves.
 
-    The node is (lambda, residue, pos, rid, first, second, d): its own step
-    is `rid` at `pos` (relative to P; rid None for a leaf, an empty P), and
-    `first` and `second` are the nodes of the (P[:-1], n-1) sub-push and of
-    the RL1/RL3 sub-push d letters right (None for RL2).  The residue is
+    The letters are listed last first, as `_push` stacks them, with a rho
+    letter R_i' spelled -i'.
+    """
+    if abs(i - j) <= 1:
+        return f"RL2({i},{j})", (n - 1,)
+    if j <= i - 2:
+        return f"RL1({i},{j})", (2 - i, j, n - 1)
+    return f"RL3({i},{j})", (-i, j - 2, n - 1)
+
+
+def _push(n, p, j, out, off):
+    """P L_j ~ Lambda P' by RL steps; append them to `out`, return both.
+
+    P starts `off` letters into the word, which is always lam q todo[::-1]:
+    lam has crossed every rho letter, q is still left of the next lambda
+    letter, and todo holds the letters to its right.  A turn applies the
+    RL rule where q's last letter meets that lambda letter, or moves it
+    into lam once q is empty, or returns a rho letter to q.  The residue is
     never longer than P, and strictly shorter after an RL2 step.
-
-    RL1 and RL3 recurse twice and sub-pushes repeat, so `memo` maps (p, j)
-    to the node of every push the calling derivation has made; nodes share
-    sub-pushes and hold no step.  The build recurses once per rho letter.
     """
-    hit = memo.get((p, j))
-    if hit is not None:
-        return hit
-    if not p:
-        node = (j,), (), 0, None, None, None, 0
-    else:
-        q, i = p[:-1], p[-1]
-        first = _push(n, q, n - 1, memo)
-        if abs(i - j) <= 1:
-            node = first[0], first[1], len(q), f"RL2({i},{j})", first, None, 0
+    lam, q, todo = [], list(p), [j]
+    while todo:
+        c = todo.pop()
+        if c < 0:
+            q.append(-c)
+        elif not q:
+            lam.append(c)
         else:
-            if j <= i - 2:
-                rid, j2, i2 = f"RL1({i},{j})", j, i - 2
-            else:
-                rid, j2, i2 = f"RL3({i},{j})", j - 2, i
-            second = _push(n, first[1], j2, memo)
-            node = (first[0] + second[0], second[1] + (i2,), len(q), rid,
-                    first, second, len(first[0]))
-    memo[p, j] = node
-    return node
-
-
-def _push_steps(node, off, out):
-    """Append a push node's steps to `out`, each once, `off` letters right.
-
-    The node's own step, its first sub-push, then its second at `off + d`.
-    """
-    stack = [(node, off)] if node[3] else []
-    while stack:
-        (_, _, pos, rid, first, second, d), off = stack.pop()
-        out.append(_new(Step, (pos + off, rid, True)))
-        if second and second[3]:
-            stack.append((second, off + d))
-        if first[3]:
-            stack.append((first, off))
+            rid, left = _rl(n, q.pop(), c)
+            out.append(_new(Step, (off + len(lam) + len(q), rid, True)))
+            todo += left
+    return lam, q
 
 
 # -- padding the shorter side --------------------------------------------------
@@ -238,7 +226,7 @@ def _lrlr_rho(n, z, off):
 
 # -- the pipeline ----------------------------------------------------------------
 
-def _sweep_step(n, x, v, c, out, fold_memo, push_memo):
+def _sweep_step(n, x, v, c, out, fold_memo):
     """L_x R_v c ~ L_x' R_v': append the steps to `out`, return (x', v').
 
     The sweep's one transition: its steps depend only on (x, v, c) and stay
@@ -246,17 +234,16 @@ def _sweep_step(n, x, v, c, out, fold_memo, push_memo):
     """
     if c.alphabet == "R":
         return x, _refold_R(n, v + (c.index,), out, len(x), fold_memo)
-    node = _push(n, v, c.index, push_memo)
-    _push_steps(node, len(x), out)
-    x = _fold_word(n, x, node[0], out, fold_memo)
-    return x, _refold_R(n, node[1], out, len(x), fold_memo)
+    lam, resid = _push(n, v, c.index, out, len(x))
+    x = _fold_word(n, x, lam, out, fold_memo)
+    return x, _refold_R(n, resid, out, len(x), fold_memo)
 
 
 def _separate_fold(n, letters, out, fold_memo):
     """Sweep the word; keep the lambda tuple and the reduced rho suffix."""
-    x, v, push_memo = (), (), {}
+    x = v = ()
     for c in letters:
-        x, v = _sweep_step(n, x, v, c, out, fold_memo, push_memo)
+        x, v = _sweep_step(n, x, v, c, out, fold_memo)
     return x, v
 
 
@@ -317,12 +304,11 @@ def push_lambda(p: Word, j: int) -> tuple[Word, Word, Derivation]:
     _only(p.letters, {"R"}, "push_lambda")
     if not 1 <= j <= p.n - 1:
         raise IndexError(f"letter index {j} outside [1, {p.n - 1}]")
-    node = _push(p.n, tuple(c.index for c in p.letters), j, {})
     steps: list[Step] = []
-    _push_steps(node, 0, steps)
+    lam, resid = _push(p.n, [c.index for c in p.letters], j, steps, 0)
     start = p.letters + (letter("L", j),)
-    u = tuple(letter("L", i) for i in node[0])
-    v = tuple(letter("R", i) for i in node[1])
+    u = tuple(letter("L", i) for i in lam)
+    v = tuple(letter("R", i) for i in resid)
     return (Word(p.n, u), Word(p.n, v),
             Derivation(p.n, "Omega", start, tuple(steps), u + v))
 
@@ -331,10 +317,9 @@ def separate(w: Word) -> tuple[Word, Word, Derivation]:
     """Split a mixed lambda/rho word as w ~ u v with u over L and v over R.
 
     Both parts are kept folded while sweeping, which bounds the rho suffix
-    by n // 2 letters and so the push build, one level per rho letter.  RL1
-    and RL3 each recurse twice, so one memo for the whole word maps every
-    (suffix, letter) push to a node, and one walk makes each push step once,
-    at its absolute position; a second memo holds the folds.
+    by n // 2 letters.  Each lambda letter is pushed through it in one
+    loop, with no memo, that emits each RL step at its absolute position;
+    one memo for the whole word holds the folds.
     """
     _check_degree(w.n)
     _only(w.letters, {"L", "R"}, "separate")

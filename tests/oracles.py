@@ -295,7 +295,7 @@ def replay_check(d, family):
 def flat_push(n, p, j):
     """The push of L_j leftwards through the rho indices `p`, as flat tuples.
 
-    The recursion that `rewrite._push` replaced with push nodes, kept as it
+    The recursion that `rewrite._push` replaced with one loop, kept as it
     was: each state stores its own step tuple, built from its sub-pushes'
     tuples with the second shifted by hand.  Returns (lambda, residue,
     steps) with positions relative to the start of P; builds `Step`s.

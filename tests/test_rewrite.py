@@ -174,6 +174,15 @@ def test_push_through_alternate_odd_rho_letters(k):
     check_derivation(nf_d)
 
 
+def test_push_through_more_rho_letters_than_the_recursion_limit():
+    # each RL2 step leaves L4, which meets the next R4: one loop turn each
+    lam, resid, d = push_lambda(W(5, " ".join(["R4"] * 1500)), 4)
+    assert word_to_text(lam) == "L4" and len(resid) == 0
+    assert [str(s) for s in d.steps] == [
+        f"{p}:RL2(4,4):fwd" for p in range(1499, -1, -1)]
+    assert check_derivation(d) == W(5, "L4")
+
+
 # a tuple longer than the interpreter's recursion limit: every fold, carry
 # and padding block is a loop
 _DEEP_N, _DEEP_X = 2501, tuple(range(1200, 0, -1))

@@ -15,9 +15,9 @@ degree n,
 
 proves by induction on the word that `normal_form`'s certificate of every
 word of degree n replays to the word's canonical form.  Criterion 4 proves
-every Omega relation sound at these degrees.  The fold and push memos are
-caches whose values depend only on their keys, so sharing them across
-states gives each transition the block `normal_form` gives it.
+every Omega relation sound at these degrees.  Only the fold memo is
+shared across states: it is a cache whose values depend only on its keys,
+so sharing it gives each transition the block `normal_form` gives it.
 """
 
 from math import comb
@@ -42,12 +42,11 @@ def prove_degree(n: int) -> dict:
               for x in tuples for y in tuples}
     letters = [*map(L, range(1, n)), *map(R, range(1, n))]
     fold_memo: dict = {}
-    push_memo: dict = {}
     steps = largest = largest_balance = 0
     for (x, v), head in states.items():
         for c in letters:
             out: list = []
-            x2, v2 = _sweep_step(n, x, v, c, out, fold_memo, push_memo)
+            x2, v2 = _sweep_step(n, x, v, c, out, fold_memo)
             end = states.get((x2, v2))
             assert end is not None, (n, x, v, c, x2, v2)
             assert replay(n, head + [c], out, "Omega") == end, (n, x, v, c)
