@@ -304,9 +304,10 @@ def push_lambda(p: Word, j: int) -> tuple[Word, Word, Derivation]:
     _only(p.letters, {"R"}, "push_lambda")
     if not 1 <= j <= p.n - 1:
         raise IndexError(f"letter index {j} outside [1, {p.n - 1}]")
+    # letter() refuses a bool or float j before _rl caches a rule under it
+    start = p.letters + (letter("L", j),)
     steps: list[Step] = []
     lam, resid = _push(p.n, [c.index for c in p.letters], j, steps, 0)
-    start = p.letters + (letter("L", j),)
     u = tuple(letter("L", i) for i in lam)
     v = tuple(letter("R", i) for i in resid)
     return (Word(p.n, u), Word(p.n, v),

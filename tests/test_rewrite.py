@@ -218,6 +218,18 @@ def test_push_rejects_bad_input():
         push_lambda(W(5, "R2"), 5)
 
 
+@pytest.mark.parametrize("j, i", [(True, 40), (1.0, 41)],
+                         ids=["bool", "float"])
+def test_push_refuses_a_bool_or_float_index_before_its_rules(j, i):
+    # True == 1.0 == 1 as cache keys: the refusal comes before any RL rule
+    # is cached, so Ri L1 at n = 61 (met by no other test) still reads 1
+    with pytest.raises(ValueError, match="not an integer"):
+        push_lambda(W(61, f"R{i}"), j)
+    d = push_lambda(W(61, f"R{i}"), 1)[2]
+    assert [s.rid for s in d.steps] == [f"RL1({i},1)"]
+    assert check_derivation(d) == d.end_word()
+
+
 # -- separation -------------------------------------------------------------------
 
 def test_separate_examples():
