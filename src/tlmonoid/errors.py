@@ -93,7 +93,7 @@ class EndMismatch(TLError):
 # -- algebra and verification ------------------------------------------------
 
 class DegreeTooLarge(TLError):
-    """Enumeration is guarded to small degrees."""
+    """A degree above a guard: enumeration's, or `tln --n`'s."""
 
 
 class DegreeOutOfRange(TLError):

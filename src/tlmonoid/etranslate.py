@@ -2,26 +2,26 @@
 
 Under the substitution L_i -> E_i E_{i+1} .. E_{n-1}, R_i -> E_{n-1} .. E_i,
 every lambda/rho relation instance maps to a fixed chain of E1/E2/E3
-rewrites.  This module constructs those chains as step templates, checks
-each one once by replaying it from hat(lhs) to hat(rhs), and translates a
-whole Omega derivation into an E-alphabet derivation by placing the checked
-templates at offsets; `normal_form_E` certifies a hook word this way, on
-top of `rewrite.normal_form` of its lift.  The key ingredients:
+rewrites.  This module builds those chains as step templates, lists of
+steps computed from the hook indices of hat(lhs), and translates a whole
+Omega derivation into an E-alphabet derivation by placing the templates at
+offsets; `normal_form_E` certifies a hook word this way, on top of
+`rewrite.normal_form` of its lift.  The key ingredients:
 
   * the telescope E_i E_{i+1}..E_{n-1} E_{n-1}..E_{i+1} E_i collapses onto
-    E_i by one E1 and a ladder of E3 contractions (and expands by the
-    reverse chain);
+    E_i by one E1 and a ladder of E3 contractions; the reverse chain,
+    `_telescope(n, i)`, is a lemma that expands a hook;
   * far-apart letters commute, so whole segments can be walked across each
-    other with E2 swaps;
+    other with E2 swaps (`_walk`);
   * the rho relations are the dagger images of the lambda relations, so
     each one's template is the template of its `mirror` reflected by
     `relations.mirror_steps`.
 
-Templates are relative to position 0 and are cached per (degree, relation).
-Because hat is a monoid homomorphism, a template checked on hat(lhs) is
-valid on hat(u lhs v) once shifted by |hat(u)|.  A translation replays,
-through `relations.replay`, the hook telescopes and the short L/R word,
-never a placed template.
+Templates and telescopes are relative to position 0 and cached per degree.
+Each is proved once, by `_proved`: one replay under Xi from its start word
+to its end word.  Because hat is a monoid homomorphism, a template proved
+on hat(lhs) is valid on hat(u lhs v) once shifted by |hat(u)|.  So a
+translation replays only the short L/R word, never a placed lemma.
 """
 
 from __future__ import annotations
@@ -42,139 +42,102 @@ from .relations import (
 )
 from .rewrite import Derivation, NormalForm, _only, normal_form
 from .tangles import Tangle
-from .words import (E as _E, Letter, Word, _hat_indices, evaluate, hat,
-                    hooks_to_pairs)
+from .words import (E as _E, L as _L, Letter, R as _R, Word, _hat_indices,
+                    evaluate, hat, hooks_to_pairs)
 
 __all__ = ["xi_template", "normal_form_E", "e_certificate", "certify",
            "EqualityResult", "equal_words"]
 
 
-class _EBuilder:
-    """Mutable E-word together with the steps that produced it.
+def _proved(n, what, start, steps, end) -> tuple[Step, ...]:
+    """`steps` as a tuple, once one replay under Xi takes the E-word with
+    indices `start` to the one with indices `end`; else RuntimeError.
 
-    Every step is replayed by `relations.replay`, which matches it against
-    the word before applying it; `word` is a read-only view of the word's
-    indices.  Used for the hook expansion and for building and checking
-    templates; templates are then placed by offset without a builder.
+    The only replay of a template or telescope: every placement of one
+    rests on this proof.
     """
+    word = list(map(_E, start))
+    try:
+        replay(n, word, steps, "Xi")
+    except BadStep as exc:
+        p, rid, _ = steps[exc.index]
+        raise RuntimeError(f"{rid} does not match at {p}") from None
+    except FamilyViolation as exc:
+        raise RuntimeError(str(exc)) from None
+    if word != list(map(_E, end)):
+        raise RuntimeError(f"broken {what}")
+    return tuple(steps)
 
-    def __init__(self, n: int, idxs):
-        self.n = n
-        self.letters = list(map(_E, idxs))
-        self.steps: list[Step] = []
 
-    @property
-    def word(self) -> list[int]:
-        return [c.index for c in self.letters]
+@lru_cache(maxsize=None)
+def _telescope(n: int, i: int) -> tuple[Step, ...]:
+    """The lemma E_i -> hat(L_i R_i) = E_i .. E_{n-1} E_{n-1} .. E_i: the
+    rungs E3(k,k+1) backward from the outside in, then E1(n-1) backward.
+    """
+    top = n - 1
+    steps = [_new(Step, (k - i, f"E3({k},{k + 1})", False))
+             for k in range(i, top)]
+    steps.append(_new(Step, (top - i, f"E1({top})", False)))
+    return _proved(n, f"telescope E{i}", (i,), steps,
+                   _hat_indices(n, (_L(i), _R(i))))
 
-    def run(self, steps, offset=0):
-        steps = shift_steps(steps, offset)
-        try:
-            replay(self.n, self.letters, steps, "Xi")
-        except BadStep as exc:
-            p, rid, _ = steps[exc.index]
-            raise RuntimeError(f"{rid} does not match at {p}") from None
-        except FamilyViolation as exc:
-            raise RuntimeError(str(exc)) from None
-        self.steps += steps
 
-    def swap(self, pos):
-        i, j = self.letters[pos].index, self.letters[pos + 1].index
-        if abs(i - j) <= 1:
-            raise RuntimeError(f"cannot commute E{i} past E{j}")
-        self.run([Step(pos, f"E2({i},{j})")])
-
-    def contract_e1(self, pos):
-        self.run([Step(pos, f"E1({self.letters[pos].index})")])
-
-    def contract_e3(self, pos):
-        i, j = self.letters[pos].index, self.letters[pos + 1].index
-        self.run([Step(pos, f"E3({i},{j})")])
-
-    def move_right(self, start, length, count):
-        # walk the block [start, start+length) right across `count` letters
-        for t in range(count):
-            for r in range(length - 1, -1, -1):
-                self.swap(start + t + r)
-
-    def wh_expand(self, *positions):
-        # E_i -> E_i .. E_{n-1} E_{n-1} .. E_i at each position, given right
-        # to left, from the outside inwards: the rung E3(k,k+1) backward at
-        # pos + k - i, then E1(n-1) backward; all in one replay
-        top, steps = self.n - 1, []
-        for pos in positions:
-            i = self.letters[pos].index
-            steps += [_new(Step, (pos + k - i, f"E3({k},{k + 1})", False))
-                      for k in range(i, top)]
-            steps.append(_new(Step, (pos + top - i, f"E1({top})", False)))
-        self.run(steps)
+def _walk(block, crossed, start):
+    # the E2 steps that carry the letters `block`, at `start`, right across
+    # the letters `crossed` that follow it, one crossed letter at a time
+    back = list(enumerate(block))[::-1]
+    return [_new(Step, (start + t + r, f"E2({b},{c})", True))
+            for t, c in enumerate(crossed) for r, b in back]
 
 
 # -- per-relation template builders (forward: hat(lhs) -> hat(rhs)) -----------
 
 def _tmpl_L1(n, i):
-    b = _EBuilder(n, list(range(i, n)) + [n - 1])
-    b.contract_e1(n - i - 1)
-    return b.steps
+    return [Step(n - i - 1, f"E1({n - 1})")]
 
 
 def _tmpl_L2(n, i, j):
     # built from hat(L_{j+2} L_i) and reversed at the end
-    b = _EBuilder(n, list(range(j + 2, n)) + list(range(i, n)))
-    b.move_right(0, n - j - 2, j - i + 1)
-    b.run([Step(j - i, f"E3({j},{j + 1})", False)])     # E_j -> E_j E_j+1 E_j
-    b.move_right(j - i + 2, 1, n - j - 2)
-    return reverse_steps(b.steps)
+    steps = _walk(range(j + 2, n), range(i, j + 1), 0)
+    # E_j -> E_j E_{j+1} E_j, the one expansion
+    steps.append(Step(j - i, f"E3({j},{j + 1})", False))
+    return reverse_steps(steps + _walk((j,), range(j + 2, n), j - i + 2))
 
 
 def _tmpl_L3(n, i):
     k = n - 2 * i + 1
     if i == 1:
-        b = _EBuilder(n, [n - 1, n - 2, n - 1])
-        b.contract_e3(0)
-        return b.steps
+        return [Step(0, f"E3({n - 1},{n - 2})")]
     seg = 2 * i - 3                      # length of one copy of hat(L_{k+2})
-    word = list(range(k, n)) * i + list(range(k - 1, n))
-    b = _EBuilder(n, word)
+    tops = list(range(k + 2, n)) * (i - 1)
     inner = xi_template(n, f"L2({k},{k})")
-    for t in range(i - 1):
-        b.run(inner, t * seg)
-    b.move_right(0, (i - 1) * seg, 1)
-    b.run(xi_template(n, f"L3({i - 1})"), 1)
-    b.move_right(0, 1, (i - 1) * seg)
-    b.contract_e3((i - 1) * seg)
-    for t in range(i - 2, -1, -1):
-        b.run(reverse_steps(inner), t * seg)
-    return b.steps
+    steps = [s for t in range(i - 1) for s in shift_steps(inner, t * seg)]
+    steps += _walk(tops, (k,), 0)
+    steps += shift_steps(xi_template(n, f"L3({i - 1})"), 1)
+    steps += _walk((k,), tops, 0)
+    steps.append(Step((i - 1) * seg, f"E3({k},{k - 1})"))
+    inner = reverse_steps(inner)
+    return steps + [s for t in range(i - 2, -1, -1)
+                    for s in shift_steps(inner, t * seg)]
 
 
 def _tmpl_RL2(n, i, j):
-    b = _EBuilder(n, list(range(n - 1, i - 1, -1)) + list(range(j, n)))
-    if j == i:
-        b.contract_e1(n - i - 1)
-        t0 = i
-    else:
-        t0 = min(i, j)
-    for t in range(t0, n - 1):
-        b.contract_e3(n - t - 2)
-    return b.steps
+    steps = [Step(n - i - 1, f"E1({i})")] if j == i else []
+    return steps + [Step(n - t - 2, f"E3({t + 1},{t})")
+                    for t in range(min(i, j), n - 1)]
 
 
 def _tmpl_RL1(n, i, j):
-    b = _EBuilder(n, list(range(n - 1, i - 1, -1)) + list(range(j, n)))
-    b.move_right(0, n - i, i - 1 - j)
-    b.run(xi_template(n, f"RL2({i},{i - 1})"), i - 1 - j)
-    b.move_right(0, i - 1 - j, 1)
-    b.wh_expand(i - 1 - j)
-    return b.steps
+    steps = _walk(range(n - 1, i - 1, -1), range(j, i - 1), 0)
+    steps += shift_steps(xi_template(n, f"RL2({i},{i - 1})"), i - 1 - j)
+    steps += _walk(range(j, i - 1), (n - 1,), 0)
+    return steps + shift_steps(_telescope(n, i - 2), i - 1 - j)
 
 
 def _tmpl_RL3(n, i, j):
-    b = _EBuilder(n, list(range(n - 1, i - 1, -1)) + list(range(j, n)))
-    b.move_right(n - j + 1, j - i - 1, n - j)
-    b.run(xi_template(n, f"RL2({j - 1},{j})"))
-    b.wh_expand(1)
-    return b.steps
+    steps = _walk(range(j - 2, i - 1, -1), range(j, n), n - j + 1)
+    steps += xi_template(n, f"RL2({j - 1},{j})")
+    return steps + shift_steps(_telescope(n, j - 2), 1)
 
 
 # the builder of each relation's template; R1..R3 mirror those of L1..L3
@@ -200,12 +163,8 @@ def xi_template(n: int, rid: str) -> tuple[Step, ...]:
                              xi_template(n, rel.mirror))
     else:
         raise ValueError(f"no hook-alphabet template for relation {rid!r}")
-    # the proof every placement of this template rests on
-    got = _EBuilder(n, _hat_indices(n, rel.lhs))
-    got.run(steps)
-    if got.word != _hat_indices(n, rel.rhs):
-        raise RuntimeError(f"broken template {rid}")
-    return tuple(steps)
+    return _proved(n, f"template {rid}", _hat_indices(n, rel.lhs), steps,
+                   _hat_indices(n, rel.rhs))
 
 
 def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
@@ -244,9 +203,12 @@ def certify(w: Word) -> tuple[NormalForm, Derivation]:
 def _translate_certificate(w: Word, deriv):
     # `deriv` is the Omega certificate of the lifted word hooks_to_pairs(w)
     n = w.n
-    b = _EBuilder(n, [c.index for c in w.letters])
-    b.wh_expand(*range(len(w.letters) - 1, -1, -1))
-    if b.word != _hat_indices(n, deriv.start):
+    # each hook E_i becomes hat(L_i R_i) by its lemma, placed right to left
+    steps = []
+    for p in range(len(w.letters) - 1, -1, -1):
+        steps += shift_steps(_telescope(n, w.letters[p].index), p)
+    if (_hat_indices(n, deriv.start)
+            != _hat_indices(n, hooks_to_pairs(w).letters)):
         raise RuntimeError("hook expansion does not reach the lifted word")
 
     try:
@@ -256,7 +218,6 @@ def _translate_certificate(w: Word, deriv):
         raise RuntimeError(
             f"{rid} does not match the lifted word at {p}") from None
     # all steps match: place each template at its segment's hat offset
-    steps = b.steps
     hl = [n - c.index for c in deriv.start]    # |hat(c)| = n - index, L and R
     placed: dict = {}   # (rid, forward, offset) -> (steps, |src|, hl of dst)
     for p, rid, fwd in deriv.steps:

@@ -259,6 +259,24 @@ def test_bad_numbers_exit_two_before_any_output(argv, capsys):
     assert main_in_process(argv, capsys) == (2, "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--n", "10000000", "1"],
+    ["nf", "--n", "1000001", "L1"],
+])
+def test_a_degree_above_the_bound_exits_two_before_the_command_runs(
+        argv, monkeypatch, capsys):
+    from tlmonoid import cli
+
+    def boom(args):
+        raise AssertionError("the command ran")   # would exit 4
+
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", boom)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n {argv[2]} is above 1000000\n"
+
+
 def _random_word(rng, n, alphabet):
     return " ".join(f"{rng.choice(alphabet)}{rng.randint(1, n - 1)}"
                     for _ in range(rng.randint(0, 12))) or "1"

@@ -26,8 +26,10 @@ from tlmonoid import (
     xi_template,
 )
 from tlmonoid import etranslate
-from tlmonoid.etranslate import _EBuilder, _hat_indices, _translate_certificate
-from tlmonoid.relations import reverse_steps
+from tlmonoid.etranslate import (_hat_indices, _proved, _telescope,
+                                 _translate_certificate)
+from tlmonoid.relations import replay, reverse_steps, shift_steps
+from tlmonoid.words import E
 
 from oracles import replay_translate
 
@@ -36,16 +38,21 @@ def W(n, text):
     return word_from_text(n, text)
 
 
+def _e_word(idxs):
+    return list(map(E, idxs))
+
+
 def test_every_template_replays_to_the_hat_image():
     # replay every Omega relation's template on hat(lhs), with context on
     # both sides, and land exactly on hat(rhs)
     for n in range(3, 10):
         for rel in relation_set(n, "Omega"):
             tmpl = xi_template(n, rel.rid)
-            pad = [n - 1, 1] if n > 2 else []
-            b = _EBuilder(n, pad + _hat_indices(n, rel.lhs) + pad)
-            b.run(tmpl, offset=len(pad))
-            assert b.word == pad + _hat_indices(n, rel.rhs) + pad, rel.rid
+            pad = [n - 1, 1]
+            word = _e_word(pad + _hat_indices(n, rel.lhs) + pad)
+            replay(n, word, shift_steps(tmpl, len(pad)), "Xi")
+            assert word == _e_word(pad + _hat_indices(n, rel.rhs) + pad), \
+                rel.rid
 
 
 def test_template_steps_are_pure_xi():
@@ -60,12 +67,20 @@ def test_alias_template_is_empty():
 
 
 def test_telescope_expansion_round_trip():
-    b = _EBuilder(6, [3])
-    b.wh_expand(0)
-    assert b.word == [3, 4, 5, 5, 4, 3]
-    b2 = _EBuilder(6, list(b.word))
-    b2.run(reverse_steps(b.steps))
-    assert b2.word == [3]
+    word = replay(6, _e_word([3]), _telescope(6, 3), "Xi")
+    assert word == _e_word([3, 4, 5, 5, 4, 3])
+    assert replay(6, word, reverse_steps(_telescope(6, 3)), "Xi") == [E(3)]
+
+
+def test_every_telescope_expands_to_the_hat_of_its_pair():
+    # E_i -> hat(L_i R_i) at every index, and back by the reversed lemma
+    for n in range(3, 11):
+        for i in range(1, n):
+            tele = _telescope(n, i)
+            pair = _e_word([*range(i, n), *range(n - 1, i - 1, -1)])
+            word = replay(n, [E(i)], tele, "Xi")
+            assert word == pair, (n, i)
+            assert replay(n, word, reverse_steps(tele), "Xi") == [E(i)]
 
 
 def test_normal_form_E_examples():
@@ -180,10 +195,14 @@ def test_backward_omega_steps_place_inverted_templates():
 
 
 def test_builder_mismatch_raises_runtime_error():
-    with pytest.raises(RuntimeError, match="does not match at 0"):
-        _EBuilder(5, [1, 2]).contract_e1(0)
-    with pytest.raises(RuntimeError, match="cannot commute E1 past E2"):
-        _EBuilder(5, [1, 2]).swap(0)
+    with pytest.raises(RuntimeError, match=re.escape("E1(1) does not match "
+                                                     "at 0")):
+        _proved(5, "lemma", [1, 2], [Step(0, "E1(1)")], [1])
+    # E1 and E2 do not commute: E2's domain refuses the step
+    with pytest.raises(RuntimeError, match=re.escape("step 0 uses E2(1,2)")):
+        _proved(5, "lemma", [1, 2], [Step(0, "E2(1,2)")], [2, 1])
+    with pytest.raises(RuntimeError, match="broken lemma"):
+        _proved(5, "lemma", [1, 1], [Step(0, "E1(1)")], [1, 1])
 
 
 def test_lifted_replay_refuses_a_moved_step():
@@ -257,7 +276,7 @@ def test_broken_template_is_caught_under_optimize():
 def test_builder_run_refuses_ids_outside_xi():
     for rid in ("E1(01)", "E2(1,2)", "E9(1)", "L1(1)", "bogus"):
         with pytest.raises(RuntimeError, match=re.escape(rid)):
-            _EBuilder(5, [1, 1]).run([Step(0, rid)])
+            _proved(5, "lemma", [1, 1], [Step(0, rid)], [1])
 
 
 def test_large_degree_telescope_needs_no_recursion():

@@ -25,7 +25,7 @@ from tlmonoid import (
     twist_relations,
     word_from_text,
 )
-from tlmonoid.etranslate import _EBuilder, _translate_certificate
+from tlmonoid.etranslate import _proved, _translate_certificate
 
 from oracles import dagger_letters
 
@@ -89,7 +89,7 @@ def test_relation_by_id_validates_parameters():
 
 def test_non_canonical_ids_are_rejected_everywhere():
     # one grammar: relation_by_id and apply_step reject what the family
-    # indexes, and so check_derivation, do not contain; the E builder and
+    # indexes, and so check_derivation, do not contain; the lemma proof and
     # the lifted-word replay of the E translation refuse the same ids
     w = word_from_text(5, "L1 L4 E1 E3")
     hook = word_from_text(5, "E1")
@@ -104,7 +104,7 @@ def test_non_canonical_ids_are_rejected_everywhere():
             with pytest.raises(FamilyViolation, match=re.escape(rid)):
                 check_derivation(d)
         with pytest.raises(RuntimeError, match=re.escape(rid)):
-            _EBuilder(5, [1, 1]).run([Step(0, rid)])
+            _proved(5, "lemma", [1, 1], [Step(0, rid)], [1])
         d = Derivation(5, "Omega", lifted, (Step(0, rid),), lifted)
         with pytest.raises(FamilyViolation, match=re.escape(rid)):
             _translate_certificate(hook, d)
