@@ -204,6 +204,7 @@ def _translate_certificate(w: Word, deriv):
     # `deriv` is the Omega certificate of the lifted word hooks_to_pairs(w)
     n = w.n
     # each hook E_i becomes hat(L_i R_i) by its lemma, placed right to left
+    # so that every hook still left to expand sits at its index in w
     steps = []
     for p in range(len(w.letters) - 1, -1, -1):
         steps += shift_steps(_telescope(n, w.letters[p].index), p)
