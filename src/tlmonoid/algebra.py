@@ -33,7 +33,7 @@ from .relations import relation_set
 from .tangles import (Tangle, _check_planar, _prepared_lower, _prepared_upper,
                       _stack, compose, identity, tangle_from_text,
                       tangle_to_text)
-from .tuples import _canonical_int
+from .tuples import _canonical_int, _check_degree
 from .words import Letter, Word, evaluate
 
 __all__ = [
@@ -57,13 +57,14 @@ __all__ = [
 class AlgebraElement:
     """An exact linear combination of degree-n tangles.
 
-    Zero coefficients are never stored; equality is coefficientwise.  A term
-    of another degree raises DegreeMismatch.  Treat instances as immutable.
+    Zero coefficients are never stored; equality is coefficientwise.  A bad
+    degree raises DegreeError, a term of another degree DegreeMismatch.
     """
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
+        _check_degree(n)
         self.n = n
         clean: dict[Tangle, Fraction] = {}
         if terms:

@@ -24,7 +24,7 @@ import sys
 
 from .algebra import alg_eval_word, element_to_text, rational
 from .errors import DegreeTooLarge, TLError
-from .relations import _check_degree
+from .relations import FAMILY_NAMES
 from .etranslate import certify
 from .rewrite import check_derivation, derivation_from_text, derivation_to_text
 from .tangles import (
@@ -35,7 +35,7 @@ from .tangles import (
     tangle_to_doc,
     tangle_to_text,
 )
-from .tuples import _canonical_int, check_tuple, entries_from_text
+from .tuples import _canonical_int, _check_degree, check_tuple, entries_from_text
 from .verify import enumerate_TL, fuzz_words, verify_presentation
 from .words import (balanced_word, build_tangle, evaluate, hat, word_from_text,
                     word_to_text)
@@ -66,7 +66,7 @@ def _cmd_eval(args):
 
 def _cmd_nf(args):
     w = word_from_text(args.n, args.word)
-    _check_degree(args.n)
+    _check_degree(args.n, 3)
     x, y = factorize(evaluate(w)[0])   # by the normal-form theorem
     word = balanced_word(x, y)
     if args.cert:                       # rewriting runs only for a certificate
@@ -83,7 +83,7 @@ def _cmd_nf(args):
 
 def _cmd_eq(args):
     w1, w2 = (word_from_text(args.n, w) for w in (args.word1, args.word2))
-    _check_degree(args.n)
+    _check_degree(args.n, 3)
     witness = evaluate(w1)[0], evaluate(w2)[0]
     if witness[0] == witness[1]:        # by the normal-form theorem
         return 0, lambda: {"equal": True}, lambda: "equal"
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("check-cert", _cmd_check_cert,
                 "replay a certificate from the start word it claims",
                 "cert", "word", n=True, doc=False)
-    p.add_argument("--family", choices=("Omega", "Xi"), default=None)
+    p.add_argument("--family", choices=sorted(FAMILY_NAMES), default=None)
     return ap
 
 

@@ -32,7 +32,6 @@ from functools import lru_cache
 from .errors import BadStep, DegreeMismatch, FamilyViolation
 from .relations import (
     Step,
-    _check_degree,
     _new,
     mirror_steps,
     relation_by_id,
@@ -40,7 +39,7 @@ from .relations import (
     reverse_steps,
     shift_steps,
 )
-from .rewrite import Derivation, NormalForm, _only, normal_form
+from .rewrite import Derivation, NormalForm, _entry, normal_form
 from .tangles import Tangle
 from .words import (E as _E, L as _L, Letter, R as _R, Word, _hat_indices,
                     evaluate, hat, hooks_to_pairs)
@@ -175,8 +174,7 @@ def normal_form_E(w: Word) -> tuple[NormalForm, Word, Derivation]:
     through its lambda-rho telescope, then places the checked per-relation
     step template of each step of the lifted word's Omega certificate.
     """
-    _check_degree(w.n)
-    _only(w.letters, {"E"}, "normal_form_E")
+    _entry(w, {"E"}, "normal_form_E")
     nf, lifted = normal_form(hooks_to_pairs(w))
     steps, end = _translate_certificate(w, lifted)
     return nf, Word(w.n, end), Derivation(w.n, "Xi", w.letters,

@@ -40,8 +40,8 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .errors import BadStep, DegreeTooSmall, FamilyViolation, NoMatch
-from .tuples import _canonical_int
+from .errors import BadStep, FamilyViolation, NoMatch
+from .tuples import _canonical_int, _check_degree
 from .words import E as _E, L as _L, Letter, R as _R, Word, letter
 
 __all__ = [
@@ -116,11 +116,6 @@ def reverse_steps(steps) -> list[Step]:
 
 def _rid(name, args):
     return f"{name}({','.join(map(str, args))})" if args else name
-
-
-def _check_degree(n: int) -> None:
-    if n < 3:
-        raise DegreeTooSmall(f"presentations need n >= 3, got {n}")
 
 
 # -- single-instance constructors: each returns None outside its domain ------
@@ -249,42 +244,34 @@ _CONSTRUCTORS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _family(n: int, which: str) -> tuple[Relation, ...]:
-    """Every member's constructor over all generator indices, in order."""
-    _check_degree(n)
+@lru_cache(maxsize=None, typed=True)  # typed: a float or bool n is refused
+def relation_index(n: int, which: str) -> dict[str, Relation]:
+    """The named family at degree n by id, in enumeration order; for
+    enumeration, not lookup.  The degree passes `_check_degree(n, 3)`."""
+    _check_degree(n, 3)
     if which not in _MEMBERS:
         raise ValueError(
             f"unknown relation family {which!r}; pick from {FAMILIES}")
-    rels = []
-    for name in _MEMBERS[which]:
-        arity, ctor = _CONSTRUCTORS[name]
-        rels += [r for args in product(range(1, n), repeat=arity)
-                 if (r := ctor(n, *args)) is not None]
-    return tuple(rels)
+    return {r.rid: r for name in _MEMBERS[which]
+            for arity, ctor in [_CONSTRUCTORS[name]]
+            for args in product(range(1, n), repeat=arity)
+            if (r := ctor(n, *args)) is not None}
 
 
 def relation_set(n: int, which: str) -> list[Relation]:
     """All instances of the named family at degree n, deterministic order."""
-    return list(_family(n, which))
-
-
-@lru_cache(maxsize=None)
-def relation_index(n: int, which: str) -> dict[str, Relation]:
-    """The named family at degree n by id; for enumeration, not lookup."""
-    return {r.rid: r for r in _family(n, which)}
+    return list(relation_index(n, which).values())
 
 
 _RID_RE = re.compile(r"^([A-Z]+[0-9]*)(?:\((\d+)(?:,(\d+))?\))?$")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float or bool n is refused
 def relation_by_id(n: int, rid: str) -> Relation:
     """The relation a canonical id names at degree n: exactly the ids of
-    the Omega and Xi families.  Raises DegreeTooSmall for n < 3 and, for
-    any other id, ValueError naming it.
-    """
-    _check_degree(n)
+    the Omega and Xi families.  A degree `tuples._check_degree(n, 3)`
+    refuses raises its error; any other id, ValueError naming it."""
+    _check_degree(n, 3)
     m = _RID_RE.match(rid)
     if not m:
         raise ValueError(f"malformed relation id {rid!r}")
@@ -313,7 +300,7 @@ def replay(n: int, word: list, steps, family: str | None = None) -> list:
     names = _CONSTRUCTORS if family is None else FAMILY_NAMES.get(family)
     if names is None:
         raise FamilyViolation(f"unknown relation family {family!r}")
-    _check_degree(n)
+    _check_degree(n, 3)
     # rid -> (side matched as a list, its length, side put in its place)
     fwd_sides, bwd_sides = {}, {}
     for i, (p, rid, fwd) in enumerate(steps):

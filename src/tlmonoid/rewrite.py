@@ -33,8 +33,8 @@ from functools import lru_cache
 
 from .errors import AlphabetError, DegreeMismatch, EndMismatch
 from .relations import (
+    FAMILY_NAMES,
     Step,
-    _check_degree,
     _new,
     mirror_steps,
     replay,
@@ -42,7 +42,7 @@ from .relations import (
     step_from_text,
     step_to_text,
 )
-from .tuples import TnTuple, check_tuple
+from .tuples import TnTuple, _check_degree, check_tuple
 from .words import (Letter, Word, balanced_word, evaluate, letter,
                     word_from_text, word_to_text)
 
@@ -266,8 +266,10 @@ def _balance(n, x, v, out, fold_memo):
     return x, v
 
 
-def _only(letters, allowed, what):
-    for l in letters:
+def _entry(w, allowed, what):
+    # the entries' one check: `Word` and `Letter` made n and indices ints
+    _check_degree(w.n, 3)
+    for l in w.letters:
         if l.alphabet not in allowed:
             raise AlphabetError(f"{what} got a {l.alphabet} letter ({l})")
 
@@ -278,7 +280,7 @@ def reduce_one_sided(w: Word) -> tuple[TnTuple, Derivation]:
     Returns the tuple x with L_x (resp. R_x) equivalent to the input, and a
     derivation using only the one-sided relations.
     """
-    _check_degree(w.n)
+    _check_degree(w.n, 3)
     alphabets = w.alphabets()
     if not alphabets <= {"L"} and not alphabets <= {"R"}:
         raise AlphabetError("reduce_one_sided needs a pure L word or pure R word")
@@ -298,20 +300,19 @@ def push_lambda(p: Word, j: int) -> tuple[Word, Word, Derivation]:
     """Cross L_j leftwards through the pure rho word `p`.
 
     Returns words u (pure lambda) and p' (pure rho, never longer than p)
-    with p L_j ~ u p', plus the RL-only derivation.
+    with p L_j ~ u p', plus the RL-only derivation.  `_push` reads j off
+    the letter L_j, which `letter` has checked.
     """
-    _check_degree(p.n)
-    _only(p.letters, {"R"}, "push_lambda")
+    _entry(p, {"R"}, "push_lambda")
     if not 1 <= j <= p.n - 1:
         raise IndexError(f"letter index {j} outside [1, {p.n - 1}]")
-    # letter() refuses a bool or float j before _rl caches a rule under it
-    start = p.letters + (letter("L", j),)
+    lj = letter("L", j)
     steps: list[Step] = []
-    lam, resid = _push(p.n, [c.index for c in p.letters], j, steps, 0)
+    lam, resid = _push(p.n, [c.index for c in p.letters], lj.index, steps, 0)
     u = tuple(letter("L", i) for i in lam)
     v = tuple(letter("R", i) for i in resid)
     return (Word(p.n, u), Word(p.n, v),
-            Derivation(p.n, "Omega", start, tuple(steps), u + v))
+            Derivation(p.n, "Omega", p.letters + (lj,), tuple(steps), u + v))
 
 
 def separate(w: Word) -> tuple[Word, Word, Derivation]:
@@ -322,8 +323,7 @@ def separate(w: Word) -> tuple[Word, Word, Derivation]:
     loop, with no memo, that emits each RL step at its absolute position;
     one memo for the whole word holds the folds.
     """
-    _check_degree(w.n)
-    _only(w.letters, {"L", "R"}, "separate")
+    _entry(w, {"L", "R"}, "separate")
     steps: list[Step] = []
     x, v = _separate_fold(w.n, w.letters, steps, {})
     u_letters = tuple(letter("L", i) for i in x)
@@ -339,8 +339,7 @@ def normal_form(w: Word) -> tuple[NormalForm, Derivation]:
     `w` is an L/R word and the certificate starts at it; a hook letter is
     refused with `AlphabetError` (`etranslate.certify` certifies E-words).
     """
-    _check_degree(w.n)
-    _only(w.letters, {"L", "R"}, "normal_form")
+    _entry(w, {"L", "R"}, "normal_form")
     steps: list[Step] = []
     memo: dict = {}
     x, v = _separate_fold(w.n, w.letters, steps, memo)
@@ -380,7 +379,8 @@ def derivation_to_text(d: Derivation) -> str:
                       f"end={word_to_text(d.end_word())}"]) + "\n"
 
 
-_DERIVATION_HEADER = re.compile(r"^n=(0|[1-9][0-9]*);\s*family=(Omega|Xi)$")
+_DERIVATION_HEADER = re.compile(
+    rf"^n=(0|[1-9][0-9]*);\s*family=({'|'.join(FAMILY_NAMES)})$")
 
 
 def derivation_from_text(text: str, start: Word) -> Derivation:
@@ -397,7 +397,7 @@ def derivation_from_text(text: str, start: Word) -> Derivation:
     if not m:
         raise ValueError(f"bad derivation header {head!r}")
     n, family = int(m.group(1)), m.group(2)
-    _check_degree(n)
+    _check_degree(n, 3)
     if start.n != n:
         raise DegreeMismatch(f"start word degree {start.n} != header {n}")
     if not lines[-1].startswith("end="):

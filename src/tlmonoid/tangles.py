@@ -26,7 +26,7 @@ import re
 from functools import lru_cache
 
 from .errors import CrossingError, DegreeMismatch, NotAMatching
-from .tuples import (TnTuple, _canonical_int, _check_positive, _integer,
+from .tuples import (TnTuple, _canonical_int, _check_degree, _integer,
                      check_tuple)
 
 __all__ = [
@@ -166,7 +166,7 @@ def make_tangle(n: int, blocks) -> Tangle:
     blocks interleave.  Blocks of size other than two are rejected: this
     monoid has no wider blocks.
     """
-    _check_positive(n)
+    _check_degree(n)
     seen = set()
     pairs = []
     for blk in blocks:
@@ -196,7 +196,7 @@ def make_tangle(n: int, blocks) -> Tangle:
 @lru_cache(maxsize=None, typed=True)   # typed: identity(True) is refused
 def identity(n: int) -> Tangle:
     """The unit of TL_n: n vertical strings."""
-    _check_positive(n)
+    _check_degree(n)
     return Tangle(n, (0, *range(n + 1, 2 * n + 1), *range(1, n + 1)))
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     BoundViolation,
     DegreeError,
+    DegreeTooSmall,
     LengthOutOfRange,
     NotDecreasing,
 )
@@ -53,22 +54,24 @@ def _integer(v) -> int:
     raise ValueError(f"{v!r} is not an integer")
 
 
-def _check_positive(n) -> None:
-    """Raise DegreeError unless the degree `n` is an int >= 1, not a bool."""
+def _check_degree(n, least: int = 1) -> None:
+    """The one degree rule: DegreeError unless `n` is an int >= 1 and not a
+    bool, DegreeTooSmall if it is below `least` (3 for the presentations)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
+    if n < least:
+        raise DegreeTooSmall(f"presentations need n >= {least}, got {n}")
 
 
 def check_tuple(n: int, entries) -> TnTuple:
     """Validate membership in T_n and return the tuple.
 
     Raises ValueError for a degree or entry that is not an integer,
-    NotDecreasing unless the entries decrease strictly down to >= 1, and
-    BoundViolation (with the offending 1-based index i and the bound
-    n - 2i + 1) if an entry is too large.
+    DegreeError for a degree below 1, NotDecreasing unless the entries
+    decrease strictly down to >= 1, and BoundViolation (with the offending
+    1-based index i and the bound n - 2i + 1) if an entry is too large.
     """
-    if _integer(n) < 1:
-        raise DegreeError(f"degree must be >= 1, got {n}")
+    _check_degree(_integer(n))
     ent = tuple(map(_integer, entries))
     for a, b in zip(ent, ent[1:]):
         if a <= b:
@@ -88,7 +91,7 @@ def enumerate_tuples(n: int, k: int | None = None) -> list[TnTuple]:
     Depth-first emission with ascending entries is exactly lexicographic
     order on the entry lists, which keeps golden tests stable.
     """
-    _check_positive(n)
+    _check_degree(n)
     if k is not None and not 0 <= k <= n // 2:
         raise LengthOutOfRange(f"length {k} outside [0, {n // 2}]")
     out: list[TnTuple] = []

@@ -19,7 +19,7 @@ from math import comb
 from .errors import DegreeOutOfRange, DegreeTooLarge, TLError
 from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
-from .tuples import _check_positive, enumerate_tuples
+from .tuples import _check_degree, enumerate_tuples
 from .words import (Word, balanced_word, build_tangle, evaluate, hat,
                     hooks_to_pairs, letter)
 from .rewrite import check_derivation, normal_form
@@ -68,7 +68,7 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     The diagrams are non-crossing by construction and are not passed
     through `_check_planar`; the tests check every one up to n = 8.
     """
-    _check_positive(n)
+    _check_degree(n)
     if n > _MAX_ENUM_DEGREE:
         raise DegreeTooLarge(f"enumeration capped at degree {_MAX_ENUM_DEGREE}")
     # boundary position r (from 0) -> encoded point (+i is i, -i is n + i);
@@ -257,10 +257,9 @@ def fuzz_words(n: int, count: int, max_len: int = 50,
     form and certificate end word is compared against direct diagram
     evaluation.  Also spot checks that word equality is an equivalence
     relation agreeing with diagram equality on mutated triples.  Raises
-    ValueError for a negative `count` or `max_len`.
+    DegreeTooSmall for n < 3, ValueError for a negative count or max_len.
     """
-    if n < 3:
-        raise DegreeOutOfRange("fuzzing needs n >= 3")
+    _check_degree(n, 3)
     if count < 0 or max_len < 0:
         raise ValueError(f"fuzzing needs count >= 0 and max_len >= 0,"
                          f" got {count} and {max_len}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AlphabetError, DegreeMismatch, LengthMismatch
 from .tangles import Tangle, _check_planar, identity
-from .tuples import TnTuple, _canonical_int, _integer
+from .tuples import TnTuple, _canonical_int, _check_degree, _integer
 
 __all__ = [
     "Letter",
@@ -46,8 +46,16 @@ _ALPHABETS = frozenset(_ALPHABET_KIND.values())
 
 @dataclass(frozen=True, slots=True)
 class Letter:
+    """A letter: alphabet L, R or E, and an int index >= 1, not a bool."""
+
     alphabet: str
     index: int
+
+    def __post_init__(self):
+        if self.alphabet not in _ALPHABETS:
+            raise AlphabetError(f"unknown alphabet {self.alphabet!r}")
+        if _integer(self.index) < 1:
+            raise ValueError(f"letter index must be >= 1, got {self.index}")
 
     def __str__(self) -> str:
         return f"{self.alphabet}{self.index}"
@@ -57,16 +65,13 @@ _CACHE: dict[tuple[str, int], Letter] = {}
 
 
 def letter(alphabet: str, index: int) -> Letter:
-    """Interned letter; identical (alphabet, index) yields the same object."""
-    if index.__class__ is not int:      # as keys, True and 2.0 are 1 and 2
+    """The interned letter; its index is made an int before it keys the
+    table, where True and 2.0 are 1 and 2.  `Letter` checks a new one."""
+    if index.__class__ is not int:
         index = _integer(index)
     key = (alphabet, index)
     got = _CACHE.get(key)
     if got is None:
-        if alphabet not in _ALPHABETS:
-            raise AlphabetError(f"unknown alphabet {alphabet!r}")
-        if index < 1:
-            raise ValueError(f"letter index must be >= 1, got {index}")
         got = _CACHE[key] = Letter(alphabet, index)
     return got
 
@@ -91,6 +96,7 @@ class Word:
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
+        _check_degree(self.n)
         for l in self.letters:
             if not 1 <= l.index <= self.n - 1:
                 raise ValueError(
@@ -147,9 +153,7 @@ def _action(n: int, l: Letter) -> tuple[int, ...]:
         return i, i + 1, i + 2, m + 1, -2, m - 1, m
     if l.alphabet == "R":       # the dagger image of L
         return m - 1, m, i, m - 1, 2, i, i + 1
-    if l.alphabet == "E":
-        return i, i + 1, 0, 0, 0, i, i + 1
-    raise AlphabetError(f"no generator for the letter {l}")
+    return i, i + 1, 0, 0, 0, i, i + 1     # E: `Letter` admits no other
 
 
 def evaluate(w: Word) -> tuple[Tangle, int]:

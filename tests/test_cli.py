@@ -158,6 +158,20 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2 and "presentations need n >= 3" in err
 
 
+# every command that takes `--n` refuses a degree below 1 by the one rule
+@pytest.mark.parametrize("argv", [
+    ["eval", "1"], ["nf", "1"], ["eq", "1", "1"], ["build", "()", "()"],
+    ["alg", "1", "--delta", "2"], ["check-cert", "CERT", "1"],
+], ids=lambda argv: argv[0])
+def test_a_degree_below_one_is_refused(argv, tmp_path):
+    cert = tmp_path / "zero.cert"
+    cert.write_text("n=0; family=Omega\nend=1\n")
+    argv = [str(cert) if a == "CERT" else a for a in argv]
+    code, out, err = run_cli(*argv, "--n", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: degree must be a positive integer, got 0\n"
+
+
 # every integer is read only in the spelling `str(int)` gives
 @pytest.mark.parametrize("argv, token", [
     (["build", "--n", "5", "(+5, 3,2)", "()"], "'(+5, 3,2)'"),

@@ -346,15 +346,13 @@ def test_relation_by_id_decides_exactly_the_family_tables():
 def test_certificate_checks_build_no_family_table():
     # n = 300 is used by no other test, so no family table of it exists yet
     from tlmonoid import normal_form
-    from tlmonoid.relations import _family
-
-    before = _family.cache_info().currsize
+    before = relation_index.cache_info().currsize
     n = 300
     _, d = normal_form(word_from_text(n, "R1 R2 L3"))
     assert check_derivation(d, "Omega") == Word(n, d.end)
     _, canonical, xi = normal_form_E(word_from_text(n, "E1 E2"))
     assert check_derivation(xi, "Xi") == canonical
-    assert _family.cache_info().currsize == before
+    assert relation_index.cache_info().currsize == before
 
 
 def test_zero_step_derivation_below_degree_three_is_refused():

@@ -6,10 +6,12 @@ import pytest
 from tlmonoid import (
     AlphabetError,
     BadStep,
+    DegreeError,
     DegreeTooSmall,
     Derivation,
     EndMismatch,
     FamilyViolation,
+    Letter,
     Step,
     Word,
     boundary_tuples,
@@ -227,6 +229,23 @@ def test_push_refuses_a_bool_or_float_index_before_its_rules(j, i):
         push_lambda(W(61, f"R{i}"), j)
     d = push_lambda(W(61, f"R{i}"), 1)[2]
     assert [s.rid for s in d.steps] == [f"RL1({i},1)"]
+    assert check_derivation(d) == d.end_word()
+
+
+@pytest.mark.parametrize("n, i, bad, error, match", [
+    (67, 40, lambda: Word(67.0, (letter("R", 40), letter("L", 1))),
+     DegreeError, "^degree must be a positive integer, got 67.0$"),
+    (71, 50, lambda: Word(71, (letter("R", 50), Letter("L", True))),
+     ValueError, "^True is not an integer$"),
+], ids=["float degree", "bool index"])
+def test_normal_form_refuses_a_bad_word_before_its_rules(n, i, bad, error,
+                                                         match):
+    # 67.0 == 67 and True == 1 as cache keys: the word is refused before
+    # `_rl` caches a rule, so Ri L1 at n = 67 or 71 (met by no other test)
+    # still answers
+    with pytest.raises(error, match=match):
+        normal_form(bad())
+    _, d = normal_form(W(n, f"R{i} L1"))
     assert check_derivation(d) == d.end_word()
 
 

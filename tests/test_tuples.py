@@ -3,16 +3,29 @@ import re
 import pytest
 
 from tlmonoid import (
+    AlgebraElement,
     BoundViolation,
     DegreeError,
+    DegreeTooSmall,
     LengthOutOfRange,
     NotDecreasing,
     check_tuple,
+    element_from_text,
     entries_from_text,
     enumerate_tuples,
+    fuzz_words,
+    reduce_one_sided,
+    relation_by_id,
+    relation_set,
     tuple_from_text,
     tuple_to_text,
+    twist_relations,
+    verify_presentation,
+    verify_xi_prime,
+    word_from_text,
+    zero,
 )
+from tlmonoid.relations import replay
 
 from oracles import catalan
 
@@ -84,6 +97,39 @@ def test_enumerate_refuses_a_bad_degree():
     for n in (0, -1, True, 2.0):
         with pytest.raises(DegreeError, match="^degree must be a positive"):
             enumerate_tuples(n)
+
+
+# `tuples._check_degree` is the one degree rule; each entry reaches it
+# before the degree keys a cache, where 3.0 == 3 and True == 1
+@pytest.mark.parametrize("call", [
+    lambda: relation_set(3.0, "Omega"),
+    lambda: verify_presentation(3.0),
+    lambda: twist_relations(3.0),
+    lambda: relation_by_id(3.0, "A"),
+    lambda: replay(3.0, [], []),
+    lambda: word_from_text(3.5, "L1"),
+    lambda: zero(0),
+    lambda: zero(True),
+    lambda: AlgebraElement(2.5),
+    lambda: element_from_text("delta=1; n=0;"),
+], ids=["relation_set", "verify_presentation", "twist_relations",
+        "relation_by_id", "replay", "word_from_text", "zero", "zero-bool",
+        "AlgebraElement", "element_from_text"])
+def test_a_degree_that_is_no_positive_int_is_refused(call):
+    with pytest.raises(DegreeError, match="^degree must be a positive integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: relation_set(2, "Omega"),
+    lambda: reduce_one_sided(word_from_text(2, "L1")),
+    lambda: verify_xi_prime(2),
+    lambda: fuzz_words(2, 1),
+], ids=["relation_set", "reduce_one_sided", "verify_xi_prime", "fuzz_words"])
+def test_the_presentations_refuse_degree_two(call):
+    with pytest.raises(DegreeTooSmall,
+                       match=r"^presentations need n >= 3, got 2$"):
+        call()
 
 
 def test_square_sum_of_length_counts_is_catalan():
