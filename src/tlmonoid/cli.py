@@ -7,9 +7,9 @@ Words are single quoted arguments in the token grammar `L<i> R<i> E<i>`
 (case-insensitive, `1` for the empty word); tangles travel in their
 one-line text format.  `--n <degree>` is required by the commands that
 read words or tuples (`eval`, `nf`, `eq`, `build`, `alg`, `check-cert`),
-accepted by no other, and at most `MAX_DEGREE`.  `--format doc` switches
-to structured JSON output on every command except `render` and
-`check-cert`.
+accepted by no other, and held to the degree rule, so at most
+`tuples.MAX_DEGREE`, before the command runs.  `--format doc` switches
+to structured JSON output on every command but `render` and `check-cert`.
 
 Each command returns its exit code and two deferred renderings of its
 result, a document and a text; `main` builds the one asked for and is the
@@ -23,7 +23,7 @@ import json
 import sys
 
 from .algebra import alg_eval_word, element_to_text, rational
-from .errors import DegreeTooLarge, TLError
+from .errors import TLError
 from .relations import FAMILY_NAMES
 from .etranslate import certify
 from .rewrite import check_derivation, derivation_from_text, derivation_to_text
@@ -43,8 +43,6 @@ from .words import (balanced_word, build_tangle, evaluate, hat, word_from_text,
 USAGE_ERROR = 2
 CHECK_FAILED = 3
 INTERNAL_ERROR = 4
-# the largest `--n` any command takes, checked before it builds an O(n) array
-MAX_DEGREE = 10 ** 6
 
 
 def _read_tangle_file(path):
@@ -292,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "n", 0) > MAX_DEGREE:
-            raise DegreeTooLarge(f"--n {args.n} is above {MAX_DEGREE}")
+        if "n" in vars(args):
+            _check_degree(args.n)
         code, doc, text = args.fn(args)
         if args.format == "doc":
             out = json.dumps(doc(), sort_keys=True)

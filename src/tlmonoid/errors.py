@@ -93,11 +93,8 @@ class EndMismatch(TLError):
 # -- algebra and verification ------------------------------------------------
 
 class DegreeTooLarge(TLError):
-    """A degree above a guard: enumeration's, or `tln --n`'s."""
-
-
-class DegreeOutOfRange(TLError):
-    """Degree outside the supported window for this check."""
+    """A degree above `tuples.MAX_DEGREE`, or above a narrower window:
+    enumeration's 12, the exhaustive verification's 10."""
 
 
 __all__ = [name for name, obj in globals().items()

@@ -41,6 +41,7 @@ from .relations import (
 )
 from .rewrite import Derivation, NormalForm, _entry, normal_form
 from .tangles import Tangle
+from .tuples import _check_degree
 from .words import (E as _E, L as _L, Letter, R as _R, Word, _hat_indices,
                     evaluate, hat, hooks_to_pairs)
 
@@ -68,11 +69,12 @@ def _proved(n, what, start, steps, end) -> tuple[Step, ...]:
     return tuple(steps)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float or bool n is refused
 def _telescope(n: int, i: int) -> tuple[Step, ...]:
     """The lemma E_i -> hat(L_i R_i) = E_i .. E_{n-1} E_{n-1} .. E_i: the
     rungs E3(k,k+1) backward from the outside in, then E1(n-1) backward.
     """
+    _check_degree(n, 3)
     top = n - 1
     steps = [_new(Step, (k - i, f"E3({k},{k + 1})", False))
              for k in range(i, top)]
@@ -145,14 +147,14 @@ _TEMPLATE_BUILDERS = {"A": lambda n: [], "L1": _tmpl_L1, "L2": _tmpl_L2,
                       "RL3": _tmpl_RL3}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float or bool n is refused
 def xi_template(n: int, rid: str) -> tuple[Step, ...]:
     """E-alphabet steps turning hat(lhs) into hat(rhs) for an Omega relation.
 
     Positions are relative to the start of the hat image of the matched
     side; the surrounding word is never touched.
     """
-    rel = relation_by_id(n, rid)      # validates the id and its parameters
+    rel = relation_by_id(n, rid)      # checks the degree, id and parameters
     if rel.name in _TEMPLATE_BUILDERS:
         steps = _TEMPLATE_BUILDERS[rel.name](n, *rel.args)
     elif rel.name in ("R1", "R2", "R3"):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import (
     BoundViolation,
     DegreeError,
+    DegreeTooLarge,
     DegreeTooSmall,
     LengthOutOfRange,
     NotDecreasing,
@@ -30,6 +31,8 @@ __all__ = [
     "tuple_from_text",
     "entries_from_text",
 ]
+
+MAX_DEGREE = 10 ** 6     # refused above, before any O(n) array is built
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,15 @@ def _integer(v) -> int:
     raise ValueError(f"{v!r} is not an integer")
 
 
-def _check_degree(n, least: int = 1) -> None:
+def _check_degree(n, least: int = 1, most: int = MAX_DEGREE) -> None:
     """The one degree rule: DegreeError unless `n` is an int >= 1 and not a
-    bool, DegreeTooSmall if it is below `least` (3 for the presentations)."""
+    bool, DegreeTooSmall below `least`, DegreeTooLarge above `most`."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DegreeError(f"degree must be a positive integer, got {n!r}")
     if n < least:
         raise DegreeTooSmall(f"presentations need n >= {least}, got {n}")
+    if n > most:
+        raise DegreeTooLarge(f"degree must be at most {most}, got {n}")
 
 
 def check_tuple(n: int, entries) -> TnTuple:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import DegreeOutOfRange, DegreeTooLarge, TLError
+from .errors import TLError
 from .relations import apply_step, relation_index, relation_set, Step
 from .tangles import Tangle, boundary_tuples, factorize
 from .tuples import _check_degree, enumerate_tuples
@@ -64,13 +64,11 @@ def _offset_matchings(length: int, memo: dict) -> list[tuple[int, ...]]:
 def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     """All tangles of degree n, deterministically ordered.
 
-    Guarded to n <= 12 (208012 diagrams); raises DegreeTooLarge beyond.
+    The degree passes `_check_degree(n, most=12)`: 208012 diagrams at 12.
     The diagrams are non-crossing by construction and are not passed
     through `_check_planar`; the tests check every one up to n = 8.
     """
-    _check_degree(n)
-    if n > _MAX_ENUM_DEGREE:
-        raise DegreeTooLarge(f"enumeration capped at degree {_MAX_ENUM_DEGREE}")
+    _check_degree(n, most=_MAX_ENUM_DEGREE)
     # boundary position r (from 0) -> encoded point (+i is i, -i is n + i);
     # the map is an involution up to the shift, so `at` is its inverse
     enc = [r + 1 if r < n else 3 * n - r for r in range(2 * n)]
@@ -132,10 +130,9 @@ def verify_presentation(n: int) -> PresentationReport:
     (a) every Omega and Xi relation instance evaluates to equal diagrams;
     (b) the balanced canonical words hit every diagram exactly once;
     (c) every diagram is reached by a word over the hook alphabet;
-    (d) factorize / build round-trips on every diagram.
+    (d) factorize / build round-trips on every diagram; 3 <= n <= 10.
     """
-    if not 3 <= n <= 10:
-        raise DegreeOutOfRange(f"verify_presentation covers 3 <= n <= 10")
+    _check_degree(n, 3, 10)
     t0 = time.perf_counter()
     checks = []
 

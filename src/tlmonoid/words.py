@@ -187,13 +187,14 @@ def generator(n: int, kind: str, i: int) -> Tangle:
 
     `lambda` joins i to i+1 on top and shifts the strands right of the arc
     two places left, closing with a lower arc at n-1, n; `rho` is its
-    reflection; `e` is the hook with arcs {i, i+1} on both rows.  Requires
-    1 <= i <= n - 1 (so n >= 2); raises IndexError otherwise.
+    reflection; `e` is the hook with arcs {i, i+1} on both rows.  After the
+    degree rule, raises IndexError unless 1 <= i <= n - 1 (so n >= 2).
     """
     alphabet = _ALPHABET_KIND.get(str(kind).lower())
     if alphabet is None:
         raise ValueError(f"unknown generator kind {kind!r}")
-    if not isinstance(n, int) or not 1 <= i <= n - 1:
+    _check_degree(n)
+    if not 1 <= i <= n - 1:
         raise IndexError(f"generator index {i} outside [1, {n - 1}]")
     return evaluate(Word(n, (letter(alphabet, i),)))[0]
 

@@ -288,7 +288,8 @@ def test_a_degree_above_the_bound_exits_two_before_the_command_runs(
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --n {argv[2]} is above 1000000\n"
+    assert captured.err == (
+        f"error: degree must be at most 1000000, got {argv[2]}\n")
 
 
 def _random_word(rng, n, alphabet):

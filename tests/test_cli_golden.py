@@ -115,9 +115,9 @@ CASES = [
     ("alg-delta-exponent", ["alg", "--n", "5", "E4 E4", "--delta", "1e400"], 2,
      EMPTY, None),
     ("verify-degree-too-small", ["verify", "2"], 2, EMPTY,
-     "error: verify_presentation covers 3 <= n <= 10\n"),
+     "error: presentations need n >= 3, got 2\n"),
     ("verify-degree-too-large", ["verify", "11", "--format", "doc"], 2, EMPTY,
-     "error: verify_presentation covers 3 <= n <= 10\n"),
+     "error: degree must be at most 10, got 11\n"),
     ("render-crossing", ["render", "n=3; blocks=(1,-2)(2,-1)(3,-3)"], 2, EMPTY,
      "error: blocks (1, -2) and (2, -1) cross\n"),
     ("nf-missing-n", ["nf", "L1"], 2, EMPTY, None),

@@ -12,6 +12,7 @@ from tlmonoid import (
     CrossingError,
     DegreeError,
     DegreeMismatch,
+    DegreeTooLarge,
     LengthMismatch,
     NotAMatching,
     Tangle,
@@ -113,9 +114,9 @@ def test_tangle_from_text_refuses_non_canonical_integers(text, token):
 
 
 def test_make_tangle_rejects_huge_degree_without_allocating():
-    with pytest.raises(NotAMatching):
+    with pytest.raises(DegreeTooLarge):
         tangle_from_text("n=1000000000000; blocks=")
-    with pytest.raises(NotAMatching):
+    with pytest.raises(DegreeTooLarge):
         make_tangle(10 ** 12, [(1, -1)])
 
 

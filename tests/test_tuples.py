@@ -6,26 +6,37 @@ from tlmonoid import (
     AlgebraElement,
     BoundViolation,
     DegreeError,
+    DegreeTooLarge,
     DegreeTooSmall,
     LengthOutOfRange,
     NotDecreasing,
+    Word,
     check_tuple,
+    derivation_from_text,
     element_from_text,
     entries_from_text,
     enumerate_tuples,
     fuzz_words,
+    generator,
+    identity,
+    make_tangle,
+    one,
     reduce_one_sided,
     relation_by_id,
     relation_set,
+    tangle_from_text,
     tuple_from_text,
     tuple_to_text,
     twist_relations,
     verify_presentation,
     verify_xi_prime,
     word_from_text,
+    xi_template,
     zero,
 )
+from tlmonoid.etranslate import _telescope
 from tlmonoid.relations import replay
+from tlmonoid.tuples import MAX_DEGREE
 
 from oracles import catalan
 
@@ -130,6 +141,52 @@ def test_the_presentations_refuse_degree_two(call):
     with pytest.raises(DegreeTooSmall,
                        match=r"^presentations need n >= 3, got 2$"):
         call()
+
+
+# MAX_DEGREE bounds every entry, so a degree alone never builds an O(n)
+# array it cannot hold; each call below is refused before it allocates
+@pytest.mark.parametrize("call", [
+    lambda n: Word(n, ()),
+    zero,
+    identity,
+    one,
+    lambda n: check_tuple(n, ()),
+    lambda n: enumerate_tuples(n, 0),
+    lambda n: relation_by_id(n, "A"),
+    lambda n: replay(n, [], []),
+    lambda n: make_tangle(n, [(1, -1)]),
+    lambda n: tangle_from_text(f"n={n}; blocks=(1,-1)"),
+    lambda n: derivation_from_text(f"n={n}; family=Omega\nend=1",
+                                   Word(7, ())),
+    lambda n: generator(n, "e", 1),
+], ids=["Word", "zero", "identity", "one", "check_tuple", "enumerate_tuples",
+        "relation_by_id", "replay", "make_tangle", "tangle_from_text",
+        "derivation_from_text", "generator"])
+def test_a_degree_above_the_bound_is_refused(call):
+    with pytest.raises(DegreeTooLarge,
+                       match=f"^degree must be at most {MAX_DEGREE}, "
+                             f"got {MAX_DEGREE + 1}$"):
+        call(MAX_DEGREE + 1)
+
+
+def test_the_bound_itself_is_accepted():
+    assert Word(MAX_DEGREE, ()).n == MAX_DEGREE
+    assert zero(MAX_DEGREE).n == MAX_DEGREE
+
+
+def test_a_float_or_bool_degree_is_refused_whatever_was_cached():
+    # 3.0 == 3 and True == 1 as cache keys: a typed cache behind the rule
+    # refuses them even after the int degree was cached
+    xi_template(3, "L1(1)")
+    _telescope(5, 2)
+    generator(3, "e", 1)
+    for call in (lambda: xi_template(3.0, "L1(1)"),
+                 lambda: _telescope(5.0, 2),
+                 lambda: generator(3.0, "e", 1),
+                 lambda: generator(True, "e", 1)):
+        with pytest.raises(DegreeError,
+                           match="^degree must be a positive integer"):
+            call()
 
 
 def test_square_sum_of_length_counts_is_catalan():

@@ -2,8 +2,8 @@ import pytest
 
 from tlmonoid import (
     DegreeError,
-    DegreeOutOfRange,
     DegreeTooLarge,
+    DegreeTooSmall,
     boundary_tuples,
     catalan,
     dagger,
@@ -100,9 +100,11 @@ def test_verify_presentation_small_degrees():
 
 
 def test_verify_presentation_range():
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(DegreeTooSmall,
+                       match=r"^presentations need n >= 3, got 2$"):
         verify_presentation(2)
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(DegreeTooLarge,
+                       match=r"^degree must be at most 10, got 11$"):
         verify_presentation(11)
 
 
