@@ -2,23 +2,21 @@
 
 Elements are finite linear combinations of tangles.  The product of two
 basis diagrams is their diagram product rescaled by delta raised to the
-number of interior loops the stacking closed, extended bilinearly.  The
-product reads each term of the left factor as the upper half of a stacking
-and each term of the right factor as the lower half.  A tangle prepares
-each half once, on first use, and keeps it in a private slot that equality
-and hashing ignore (`tangles._prepared_upper`, `tangles._prepared_lower`;
-about 0.66 KB and 0.46 KB per tangle at n = 10), so a tangle met again in
-a later product is not prepared again, and a pair of terms costs only the
-walk over the strands that meet the middle row.  All arithmetic is exact:
-coefficients are arbitrary-precision rationals (`Fraction`), and the
-product accumulates them as integers over one common denominator, then
-builds the `Fraction` of each distinct sum once.  A number given as text
-is read by `rational`, which refuses exponent notation.  delta is threaded
-through the product rather than stored on elements, and is recorded when
-serializing.  This is the one module that knows about
-delta: the loop-weighted relations of the hook alphabet carry integer
-powers of it (`twist_relations`), and `verify_xi_prime` proves them for
-every delta at once by comparing diagrams and exponents.
+number of interior loops the stacking closed, extended bilinearly.  Every
+pair of terms is read from the product table of the degree that `compose`
+also reads (`tangles._Table`): it holds at most C(n, n // 2) halves, the
+square of that in pairings and Catalan(n) diagrams, each filled and checked
+once per process, so a tangle keeps only its two halves' masks (one int)
+and the product's terms are the table's shared, immutable tangles.  All
+arithmetic is exact: coefficients are arbitrary-precision rationals
+(`Fraction`), and the product accumulates them as integers over one common
+denominator, then builds the `Fraction` of each distinct sum once.  A
+number given as text is read by `rational`, which refuses exponent
+notation.  delta is threaded through the product rather than stored on
+elements, and is recorded when serializing.  This is the one module that
+knows about delta: the loop-weighted relations of the hook alphabet carry
+integer powers of it (`twist_relations`), and `verify_xi_prime` proves them
+for every delta at once by comparing diagrams and exponents.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from math import lcm
 
 from .errors import AlphabetError, DegreeMismatch
 from .relations import relation_set
-from .tangles import (Tangle, _check_planar, _prepared_lower, _prepared_upper,
-                      _stack, compose, identity, tangle_from_text,
+from .tangles import (Tangle, _table, compose, identity, tangle_from_text,
                       tangle_to_text)
 from .tuples import _canonical_int, _check_degree
 from .words import Letter, Word, evaluate
@@ -129,29 +126,26 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
     return out
 
 
-def _integer_terms(a: AlgebraElement, half) -> tuple[list, int]:
-    # (prepared half, integer numerator) pairs over the lcm of denominators
+def _integer_terms(a: AlgebraElement, tab) -> tuple[list, int]:
+    # per term (top half, bottom half, numerator over the lcm denominator)
     d = lcm(*(c.denominator for c in a.terms.values()))
-    return [(half(t), c.numerator * (d // c.denominator))
+    return [(*tab.halves_of(t), c.numerator * (d // c.denominator))
             for t, c in a.terms.items()], d
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
     """Bilinear product; basis diagrams multiply with weight delta^loops.
 
-    Each term of `a` is read as an upper half and each term of `b` as a
-    lower half, prepared once per tangle and kept on it
-    (`tangles._prepared_upper`, `_prepared_lower`); every pair of terms
-    then costs one `tangles._stack` walk over the strands that meet the
-    middle row.  With delta = p/q and at most h = n // 2 loops,
-    delta^m = p^m q^(h-m) / q^h, so the sums are integers over one
-    denominator until the end, and each term of `a` has its coefficient
-    multiplied by every weight before the pairs are walked.  Each distinct
-    partner array the walk returns gets the next slot of a list of sums,
-    found with one dict operation per pair; an array seen first is checked
-    by `_check_planar` on the points the walk wrote (the factors'
-    through-strand ends), a sum that later cancels to zero included.
-    Equal sums share one `Fraction`, built once per call.
+    Each pair of terms costs a few lookups in the product table
+    (`tangles._Table`), as in `compose`: the pairing of the left term's
+    bottom half with the right term's top half gives the loop count and
+    two fusions, and the fused halves the product's key, one int.  Each
+    distinct key gives its shared `Tangle` once, built and checked when
+    first met, a sum that cancels to zero included.  With delta = p/q and
+    at most h = n // 2 loops, delta^m = p^m q^(h-m) / q^h, so the sums are
+    integers over one denominator until the end, and each term of `a` has
+    its coefficient multiplied by every weight first.  Equal sums share one
+    `Fraction`, built once per call.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
@@ -160,23 +154,23 @@ def alg_mul(a: AlgebraElement, b: AlgebraElement, delta) -> AlgebraElement:
     p, q = delta.numerator, delta.denominator
     h = n // 2
     weight = [p ** m * q ** (h - m) for m in range(h + 1)]
-    ia, da = _integer_terms(a, _prepared_upper)
-    ib, db = _integer_terms(b, _prepared_lower)
-    index: dict[tuple[int, ...], int] = {}
-    sums: list[int] = []
-    for upper, ca in ia:
+    tab = _table(n)
+    ia, da = _integer_terms(a, tab)
+    ib, db = _integer_terms(b, tab)
+    ib = [(tb.mask, bb, cb) for tb, bb, cb in ib]
+    sums: dict[int, int] = {}
+    for ta, ba, ca in ia:
         cw = [ca * w for w in weight]
-        for lower, cb in ib:
-            t, m = _stack(n, upper, lower)
-            k = index.setdefault(t, len(sums))
-            if k == len(sums):
-                _check_planar(n, t, upper[-1], lower[-1])
-                sums.append(0)
-            sums[k] += cw[m] * cb
+        row = ba.pairs
+        for tb, bb, cb in ib:
+            m, fa, fb = row.get(tb) or tab.pairing(ba, tb)
+            k = ta[fa] << n | bb[fb]
+            sums[k] = sums.get(k, 0) + cw[m] * cb
     denom = da * db * q ** h
-    coeff = {s: Fraction(s, denom) for s in set(sums) if s}
+    coeff = {v: Fraction(v, denom) for v in set(sums.values()) if v}
     out = AlgebraElement(n)
-    out.terms = {Tangle(n, t): coeff[s] for t, s in zip(index, sums) if s}
+    products = [(tab.product(k), v) for k, v in sums.items()]
+    out.terms = {t: coeff[v] for t, v in products if v}
     return out
 
 
@@ -243,7 +237,7 @@ class XiPrimeReport:
 
 def _side(n, letters, generators) -> tuple[Tangle, int]:
     # the letters' generator diagrams multiplied out by `compose`, which
-    # runs the walk whose loop count alg_mul weights and checks planarity
+    # reads the product table whose loop counts alg_mul weights
     t, loops = identity(n), 0
     for l in letters:
         t, m = compose(t, generators[l])
@@ -258,9 +252,8 @@ def verify_xi_prime(n: int) -> XiPrimeReport:
     delta, so the relation holds for every delta exactly when both sides
     have the same diagram and the same exponent: a plus the loops closed
     multiplying out u equals b plus those of v.  The sides are multiplied
-    out by `compose`, independently of `evaluate`, which counted a and b;
-    each letter's generator diagram is built once, so its prepared lower
-    half is reused.  Raises DegreeTooSmall for n < 3.
+    out by `compose`, independently of `evaluate`, which counted a and b.
+    Raises DegreeTooSmall for n < 3.
     """
     rels = twist_relations(n)
     generators = {l: evaluate(Word(n, (l,)))[0]

@@ -16,8 +16,9 @@ that appear in the interior and reports how many were discarded; that count
 is the exponent used by the twisted algebra product.  `dagger` is the
 top-bottom reflection, which makes TL_n a regular *-monoid.
 
-A `Tangle` is never built from unchecked data: `make_tangle` and
-`words.evaluate` scan all 2n points, the product path only those it wrote.
+A `Tangle` is never built from unchecked data: `make_tangle`,
+`words.evaluate` and the product table (`_Table`), which builds each product
+diagram once and shares it, scan all 2n points.
 """
 
 from __future__ import annotations
@@ -55,20 +56,18 @@ class Tangle:
     hashing, repr and pickling use the array alone.  A Tangle is never
     built from unchecked data; `make_tangle` validates.
 
-    The private slots `_upper_half` and `_lower_half` hold the tangle
-    prepared as the upper and the lower factor of a product.  They stay
-    unset until `_prepared_upper` or `_prepared_lower` first asks, so
-    building a tangle costs nothing more; once set they are kept, as
-    tuples, for the life of the tangle (about 0.66 KB and 0.46 KB at
-    n = 10).
+    Private slots: `_hash`, None until the tangle is first hashed, and
+    `_halves`, the masks of its two rows as one int (`_masks`; 28 bytes at
+    n = 10), set by the product table (`_Table`) when the tangle is first
+    a factor or is built as a product; products are shared.
     """
 
-    __slots__ = ("n", "partners", "_hash", "_upper_half", "_lower_half")
+    __slots__ = ("n", "partners", "_hash", "_halves")
 
     def __init__(self, n: int, partners: tuple[int, ...]):
         self.n = n
         self.partners = partners
-        self._hash = hash(partners)
+        self._hash = None
 
     def __eq__(self, other):
         if not isinstance(other, Tangle):
@@ -76,7 +75,10 @@ class Tangle:
         return self.partners == other.partners
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.partners)
+        return h
 
     def __repr__(self):
         return f"Tangle[{tangle_to_text(self)}]"
@@ -106,33 +108,26 @@ def _block(n, p, q):
     return (e if e <= n else n - e), (f if f <= n else n - f)
 
 
-def _check_planar(n: int, p: tuple[int, ...], tops=None, bottoms=None) -> None:
+def _check_planar(n: int, p: tuple[int, ...]) -> None:
     """Raise CrossingError unless the strings of partners `p` are disjoint.
 
-    One stack scan in boundary order: each point either opens a string or
-    closes the string opened last.  It walks all 2n points, or only `tops`
-    then `bottoms` (descending encoded order): the through-strand ends of a
-    product's factors, all that `_stack` writes.  For planar factors that
-    suffices, as a top arc of one encloses none of its through points, so a
-    copied arc encloses only copied points.  A narrowed scan that fails or
-    leaves a string open is decided in full.  Only on failure is the pair
-    to report searched for: the first block in canonical order crossing a
-    later one, and the first such later block.  A block crosses the strings
-    opened after it and still open when it closes, so each opening position
-    is unlinked from a list of all of them as its string closes; the next
-    one in the list then opened first after it.
+    One stack scan of all 2n points in boundary order: each point either
+    opens a string or closes the string opened last.  Only on failure is
+    the pair to report searched for: the first block in canonical order
+    crossing a later one, and the first such later block.  A block crosses
+    the strings opened after it and still open when it closes, so each
+    opening position is unlinked from a list of all of them as its string
+    closes; the next one in the list then opened first after it.
     """
-    if tops is None:
-        tops, bottoms = range(1, n + 1), range(2 * n, n, -1)
     stack = [0]                     # a sentinel, then partners of open strings
-    for e in tops:                  # upper row: opens if partner right or below
+    for e in range(1, n + 1):       # upper row: opens if partner right or below
         f = p[e]
         if f > e:
             stack.append(f)
         elif stack.pop() != e:
             break
     else:
-        for e in bottoms:           # lower row: opens if partner is left
+        for e in range(2 * n, n, -1):   # lower row: opens if partner is left
             f = p[e]
             if n < f < e:
                 stack.append(f)
@@ -141,8 +136,6 @@ def _check_planar(n: int, p: tuple[int, ...], tops=None, bottoms=None) -> None:
         else:
             if len(stack) == 1:
                 return
-    if len(tops) + len(bottoms) < 2 * n:
-        return _check_planar(n, p)
     opens = [q for q, r in _boundary_scan(n, p) if r > q]
     nxt = dict(zip([0, *opens], [*opens, 2 * n + 1]))
     prv = dict(zip([*opens, 2 * n + 1], [0, *opens]))
@@ -203,124 +196,168 @@ def identity(n: int) -> Tangle:
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
-    Reads `a` as an upper and `b` as a lower half, each prepared once per
-    tangle and kept (`_prepared_upper`, `_prepared_lower`), runs the one
-    product walk `_stack` on them and checks the points it wrote with
-    `_check_planar`, the through-strand ends of both factors, so every
-    tangle `compose` returns is checked.  The returned tangle has no
-    halves prepared until it is itself a factor.
+    Both are read from the degree's product table (`_Table`), whose
+    entries are computed and checked the first time a product needs them.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
     n = a.n
-    upper, lower = _prepared_upper(a), _prepared_lower(b)
-    out, loops = _stack(n, upper, lower)
-    _check_planar(n, out, upper[-1], lower[-1])
-    return Tangle(n, out), loops
+    tab = _table(n)
+    ta, ba = tab.halves_of(a)
+    tb, bb = tab.halves_of(b)
+    m, fa, fb = tab.pairing(ba, tb.mask)
+    return tab.product(ta[fa] << n | bb[fb]), m
 
 
-def _prepared_upper(t: Tangle):
-    """`_upper_half` of `t`, built on first use and kept in its slot."""
-    half = getattr(t, "_upper_half", None)
-    if half is None:
-        t._upper_half = half = _upper_half(t.n, t.partners)
-    return half
+# -- the product table -----------------------------------------------------------
+# A half is a row of a tangle, fixed by its mask: n bits, from the most
+# significant, the i-th set when point i is the left end of an arc (as in
+# `boundary_tuples`), built and read as bit strings in time linear in n.
+
+_TABLES: dict[int, _Table] = {}     # degree -> its product table
 
 
-def _prepared_lower(t: Tangle):
-    """`_lower_half` of `t`, built on first use and kept in its slot."""
-    half = getattr(t, "_lower_half", None)
-    if half is None:
-        t._lower_half = half = _lower_half(t.n, t.partners)
-    return half
+def _table(n: int) -> _Table:
+    return _TABLES[n] if n in _TABLES else _TABLES.setdefault(n, _Table(n))
 
 
-def _upper_half(n: int, p: tuple[int, ...]):
-    """The parts of partners `p` that `_stack` reads from an upper factor.
+class _Table(dict):
+    """The products of degree-n tangles by their halves, filled lazily.
 
-    (top, through, arc_ends, low, tops), all tuples: the top row indexed
-    0..n with the through strands blanked to 0; the (top point, middle
-    point) pairs of the through strands; the left ends of the lower arcs,
-    as middle points; `low`, the lower row indexed by middle point, holding
-    the partner middle point of an arc and minus the top point of a through
-    strand; and the through strands' top points, for `_check_planar`.
-    Called only by `_prepared_upper`, which keeps the result on the tangle,
-    so nothing may write into it.
+    a.b is a's top and b's bottom half with some through points fused into
+    arcs; which, and the loop count, depend only on a's bottom and b's top
+    half.  The table maps each mask met to its `_Half`, at most C(n, n // 2)
+    of them, each with at most as many pairings, whose distinct triples are
+    shared (`entries`).  `products` maps top mask << n | bottom mask to the
+    diagram's one `Tangle`, built by `_join` and fully scanned when first
+    asked for: at most Catalan(n).  An entry is stored after its check.
     """
-    top = tuple([f if f <= n else 0 for f in p[:n + 1]])
-    through = tuple([(i, p[i] - n) for i in range(1, n + 1) if p[i] > n])
-    low = (0, *[f - n if f > n else -f for f in p[n + 1:]])
-    arc_ends = tuple([m for m in range(1, n + 1) if low[m] > m])
-    return top, through, arc_ends, low, tuple([i for i, _ in through])
+
+    __slots__ = ("n", "entries", "products")
+
+    def __init__(self, n: int):
+        self.n, self.entries, self.products = n, {}, {}
+
+    def __missing__(self, mask: int) -> _Half:
+        half = self[mask] = _Half(self.n, mask)
+        return half
+
+    def halves_of(self, t: Tangle) -> tuple[_Half, _Half]:
+        # (top, bottom half); t's masks are kept after one full planarity scan
+        k = getattr(t, "_halves", None)
+        if k is None:
+            _check_planar(t.n, t.partners)
+            k = t._halves = _masks(t.n, t.partners)
+        return self[k >> self.n], self[k & (1 << self.n) - 1]
+
+    def pairing(self, b: _Half, t: int) -> tuple[int, bytes, bytes]:
+        """(loops, fa, fb) of bottom half `b` above the top half of mask t."""
+        e = b.pairs.get(t)
+        if e is None:
+            e = _pairing(self.n, b.row, self[t].row)
+            e = b.pairs[t] = self.entries.setdefault(e, e)
+        return e
+
+    def product(self, k: int) -> Tangle:
+        """The one Tangle with key `k`."""
+        t = self.products.get(k)
+        if t is None:
+            n = self.n
+            p = _join(n, self[k >> n], self[k & (1 << n) - 1])
+            _check_planar(n, p)
+            t = self.products[k] = Tangle(n, p)
+            t._halves = k
+        return t
 
 
-def _lower_half(n: int, p: tuple[int, ...]):
-    """The parts of partners `p` that `_stack` reads from a lower factor.
+class _Half(dict):
+    """A half, and its fused masks by fusion, filled lazily.
 
-    (p, bottom, through, bottoms), all tuples: the array itself; the bottom
-    row as n entries for the encoded points n+1..2n, with the through
-    strands blanked to 0; the (bottom point, middle point) pairs of the
-    through strands; and their bottom points in descending encoded order,
-    for `_check_planar`.  Called only by `_prepared_lower`, which keeps the
-    result on the tangle, so nothing may write into it.
+    `row` has the other end of each arc at points 1..n, 0 at a through
+    point; `through` lists those in order.  A fusion has a byte per through
+    point, 1 for the left end of a new arc.  `pairs` maps a top half's mask
+    to the pairing of this half, as a bottom half, above it.
     """
-    bottom = tuple([f if f > n else 0 for f in p[n + 1:]])
-    through = tuple([(j, p[j]) for j in range(n + 1, 2 * n + 1) if p[j] <= n])
-    return p, bottom, through, tuple([j for j, _ in reversed(through)])
+
+    __slots__ = ("mask", "row", "through", "pairs")
+
+    def __init__(self, n: int, mask: int):
+        row, through, opened = [0] * (n + 1), [], []
+        for i, bit in enumerate(f"{mask:0{n}b}", 1):
+            if bit == "1":
+                opened.append(i)
+            elif opened:
+                j = opened.pop()
+                row[i], row[j] = j, i
+            else:
+                through.append(i)
+        self.mask, self.row, self.through = mask, tuple(row), tuple(through)
+        self.pairs = {}
+
+    def __missing__(self, f: bytes) -> int:
+        fused = list(f"{self.mask:0{len(self.row) - 1}b}")
+        for i, bit in zip(self.through, f):
+            if bit:
+                fused[i - 1] = "1"
+        fused = self[f] = int("".join(fused), 2)
+        return fused
 
 
-def _stack(n: int, upper, lower):
-    """(partner tuple, loop count) of an upper half stacked on a lower half.
+def _masks(n: int, p: tuple[int, ...]) -> int:
+    # top mask << n | bottom mask of a planar partner array
+    return int("".join(["1" if i < p[i] <= n else "0" for i in range(1, n + 1)]
+                       + ["1" if p[j] > j else "0"
+                          for j in range(n + 1, 2 * n + 1)]), 2)
 
-    The halves come from `_upper_half` and `_lower_half` of two degree-n
-    arrays.  The product starts as the upper factor's top row followed by
-    the lower factor's bottom row, which already holds every arc that does
-    not touch the middle row.  The walk then traces the upper factor's
-    through strands, then the lower factor's through strands still unset,
-    across the middle row to the boundary, marking the ends of the upper
-    factor's lower arcs they pass.  Each unmarked lower arc lies on a
-    closed loop, which is traced and counted once.  Nothing is checked here:
-    `compose` checks each result, and `alg_mul` each distinct one.
+
+def _pairing(n: int, low, up) -> tuple[int, bytes, bytes]:
+    """(loops, fa, fb) where a bottom row `low` meets a top row `up`.
+
+    The rows are `_Half.row`s.  Each through strand of the upper factor,
+    in order, is traced across the middle row to one of the lower factor,
+    or back up to a later one of its own, when its byte in the fusion fa
+    is 1; fb is found the same way, and the points left lie on loops.
     """
-    top, through_a, arc_ends, low, _ = upper
-    pb, bottom, through_b, _ = lower
-    out = [*top, *bottom]
     seen = [False] * (n + 1)
-    for i, m in through_a:
-        if out[i]:
-            continue
-        e = pb[m]
-        while e <= n:                   # an upper arc of b, back to the middle
-            f = low[e]
-            if f < 0:                   # a through strand of a, to the top
-                e = -f
-                break
-            seen[e] = seen[f] = True    # a lower arc of a
-            e = pb[f]
-        out[i], out[e] = e, i
-    for j, m in through_b:
-        if out[j]:
-            continue
-        # not reached from the top, so it meets only lower arcs of a
-        e = m
-        while e <= n:
-            f = low[e]
-            seen[e] = seen[f] = True
-            e = pb[f]
-        out[j], out[e] = e, j
+    fused = []
+    for first, second in ((low, up), (up, low)):
+        flags = []
+        for m in range(1, n + 1):
+            if first[m]:
+                continue
+            e, end = m, 0
+            while not seen[e]:          # along `second`, then `first`, ...
+                seen[e] = True
+                f = second[e]
+                if not f:               # meets the other factor's strand
+                    break
+                seen[f] = True
+                e = first[f]
+                if not e:               # comes back: a new arc
+                    end = 1
+                    break
+            flags.append(end)
+        fused.append(bytes(flags))
     loops = 0
-    for m in arc_ends:
-        if seen[m]:
-            continue
-        loops += 1
-        e = m
-        while True:
-            f = low[e]
-            seen[e] = seen[f] = True
-            e = pb[f]
-            if e == m:
-                break
-    return tuple(out), loops
+    for m in range(1, n + 1):
+        if not seen[m]:
+            loops += 1
+            e = m
+            while not seen[e]:
+                seen[e] = True
+                f = low[e]
+                seen[f] = True
+                e = up[f]
+    return loops, *fused
+
+
+def _join(n: int, top: _Half, bottom: _Half) -> tuple[int, ...]:
+    # the partner array of `top` over `bottom`, their k-th through points
+    # joined for every k
+    p = [*top.row, *[f and n + f for f in bottom.row[1:]]]
+    for i, j in zip(top.through, bottom.through, strict=True):
+        p[i], p[n + j] = n + j, i
+    return tuple(p)
 
 
 def dagger(a: Tangle) -> Tangle:

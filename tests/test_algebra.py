@@ -10,6 +10,7 @@ from tlmonoid import (
     CrossingError,
     DegreeMismatch,
     DegreeTooSmall,
+    Tangle,
     add,
     alg_eval_word,
     alg_mul,
@@ -28,7 +29,7 @@ from tlmonoid import (
 
 from tlmonoid import tangles
 
-from oracles import as_blockset, naive_alg_mul
+from oracles import as_blockset, naive_alg_mul, naive_compose
 
 
 def hook(n, i):
@@ -75,38 +76,90 @@ def test_elements_refuse_terms_of_another_degree():
 CROSSING = (0, 5, 4, 6, 2, 1, 3)
 
 
-def stack_with_crossings(monkeypatch, bad_pairs):
-    # make the kernel of alg_mul return CROSSING for the given tangle pairs,
-    # recognised by their prepared halves
-    from tlmonoid import algebra, tangles
+def inject_crossings(monkeypatch, bad_pairs):
+    # the product table builds CROSSING for the products of the given
+    # tangle pairs, recognised by their diagrams as the oracle gives them
+    bad = {naive_compose(s.n, s.blocks, t.blocks)[0] for s, t in bad_pairs}
+    join = tangles._join
 
-    real = algebra._stack
-    bad = [(tangles._upper_half(s.n, s.partners),
-            tangles._lower_half(t.n, t.partners)) for s, t in bad_pairs]
+    def crossing_join(n, top, bottom):
+        p = join(n, top, bottom)
+        return CROSSING if as_blockset(Tangle(n, p)) in bad else p
 
-    def stack(n, upper, lower):
-        if (upper, lower) in bad:
-            return CROSSING, 0
-        return real(n, upper, lower)
+    monkeypatch.setattr(tangles, "_join", crossing_join)
 
-    monkeypatch.setattr(algebra, "_stack", stack)
+
+def miscount_loops(monkeypatch):
+    # one loop too many on every pairing that closes one
+    pairing = tangles._pairing
+
+    def miscounting_pairing(n, low, up):
+        m, fa, fb = pairing(n, low, up)
+        return m + 1 if m else m, fa, fb
+
+    monkeypatch.setattr(tangles, "_pairing", miscounting_pairing)
+
+
+E1, E2, I3 = generator(3, "e", 1), generator(3, "e", 2), identity(3)
+# (the pair whose product is damaged, a, b): its sum in a.b survives, or
+# cancels, as e1.1 = e1 and e1.e1 = delta e1 at delta = 2
+FAULTS = {"survives": ((E1, E2), {E1: 1, I3: 1}, {E2: 2}),
+          "cancels": ((E1, I3), {E1: 1}, {I3: 2, E1: -1})}
+
+
+def refuses_a_damaged_product(monkeypatch, case):
+    # against fresh tables, so that no stored product hides the damage
+    pair, a, b = FAULTS[case]
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    inject_crossings(monkeypatch, [pair])
+    with pytest.raises(CrossingError):
+        alg_mul(AlgebraElement(3, a), AlgebraElement(3, b), 2)
 
 
 def test_alg_mul_checks_a_surviving_product(monkeypatch):
-    t, s = generator(3, "e", 1), generator(3, "e", 2)
-    stack_with_crossings(monkeypatch, [(t, s)])
-    a = AlgebraElement(3, {t: 1, identity(3): 1})
-    with pytest.raises(CrossingError):
-        alg_mul(a, AlgebraElement(3, {s: 2}), 2)
+    refuses_a_damaged_product(monkeypatch, "survives")
 
 
 def test_alg_mul_checks_a_product_that_cancels(monkeypatch):
-    t, s1, s2 = identity(3), generator(3, "e", 1), generator(3, "e", 2)
-    stack_with_crossings(monkeypatch, [(t, s1), (t, s2)])
-    a = AlgebraElement(3, {t: 1})
-    b = AlgebraElement(3, {s1: 3, s2: -3, identity(3): 1})
-    with pytest.raises(CrossingError):
-        alg_mul(a, b, 2)
+    refuses_a_damaged_product(monkeypatch, "cancels")
+
+
+def _oracle_product(a, b, delta):
+    return naive_alg_mul(a.n, {t.blocks: c for t, c in a.terms.items()},
+                         {t.blocks: c for t, c in b.terms.items()}, delta)
+
+
+def test_no_table_entry_is_poisoned_by_a_refused_fault(monkeypatch):
+    # entries are stored only after their check has passed: once a crossing
+    # has been refused and the injection undone, the same tables give the
+    # oracle's products.  A miscounting walk, which no check sees, runs
+    # against tables of its own, and the tables outside it give the right
+    # counts after it.
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    for pair, a, b in FAULTS.values():
+        a, b = AlgebraElement(3, a), AlgebraElement(3, b)
+        with monkeypatch.context() as patch:
+            inject_crossings(patch, [pair])
+            for product in (lambda: alg_mul(a, b, 2), lambda: compose(*pair)):
+                with pytest.raises(CrossingError):
+                    product()
+        got = alg_mul(a, b, 2)
+        assert {as_blockset(t): c for t, c in got.terms.items()} == \
+            _oracle_product(a, b, 2)
+        t, m = compose(*pair)
+        assert (as_blockset(t), m) == naive_compose(3, *(x.blocks for x in pair))
+    assert alg_mul(*(AlgebraElement(3, x) for x in FAULTS["cancels"][1:]),
+                   2).is_zero()
+    e = AlgebraElement(5, {generator(5, "e", i): 1 for i in range(1, 5)})
+    with monkeypatch.context() as patch:
+        patch.setattr(tangles, "_TABLES", {})
+        miscount_loops(patch)
+        assert not verify_xi_prime(5).passed
+        assert {as_blockset(t): c for t, c in alg_mul(e, e, 2).terms.items()} \
+            != _oracle_product(e, e, 2)
+    assert verify_xi_prime(5).passed
+    assert {as_blockset(t): c for t, c in alg_mul(e, e, 2).terms.items()} == \
+        _oracle_product(e, e, 2)
 
 
 def test_hook_squares_scale_by_delta():
@@ -209,15 +262,10 @@ def test_verify_xi_prime_rejects_zero_delta():
 
 
 def test_verify_xi_prime_catches_a_miscounted_loop(monkeypatch):
-    # one loop too many on every product that closes one: only the E1
-    # relations close a loop, so exactly they must fail
-    stack = tangles._stack
-
-    def miscounting_stack(n, upper, lower):
-        t, m = stack(n, upper, lower)
-        return t, m + 1 if m else m
-
-    monkeypatch.setattr(tangles, "_stack", miscounting_stack)
+    # one loop too many on every product that closes one, against fresh
+    # tables: only the E1 relations close a loop, so exactly they must fail
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    miscount_loops(monkeypatch)
     rep = verify_xi_prime(5)
     assert not rep.passed
     failed = {c.rid for c in rep.checks if not c.passed}

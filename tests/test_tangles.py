@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import pickle
 import random
 import re
@@ -37,8 +38,7 @@ from tlmonoid import (
     word_from_text,
 )
 
-from tlmonoid.tangles import (_check_planar, _lower_half, _prepared_lower,
-                              _prepared_upper, _stack, _upper_half)
+from tlmonoid import tangles
 
 from oracles import as_blockset, naive_bl_br, naive_compose
 
@@ -207,11 +207,23 @@ def test_lambda_rho_products_make_hooks():
     assert loops == 1 and got == as_blockset(generator(5, "e", 2))
 
 
-def test_compose_checks_planarity_of_every_product():
-    # a crossing partner array smuggled past make_tangle: +1 ~ -2, +2 ~ -1
+def test_compose_checks_planarity_of_every_product(monkeypatch):
+    # a crossing partner array smuggled past make_tangle: +1 ~ -2, +2 ~ -1,
+    # refused as either factor, by compose and by alg_mul, against fresh
+    # and warm tables; its halves are never kept, so it is refused again
+    def mul(a, b):
+        return alg_mul(AlgebraElement(2, {a: 1}), AlgebraElement(2, {b: 1}), 2)
+
     crossed = Tangle(2, (0, 4, 3, 2, 1))
-    with pytest.raises(CrossingError):
-        compose(crossed, identity(2))
+    for tables in ({}, tangles._TABLES):
+        monkeypatch.setattr(tangles, "_TABLES", tables)
+        for a, b in ((crossed, identity(2)), (identity(2), crossed)):
+            for product in (compose, mul):
+                with pytest.raises(CrossingError) as exc:
+                    product(a, b)
+                assert (exc.value.block_a, exc.value.block_b) == \
+                    ((1, -2), (2, -1))
+    assert not hasattr(crossed, "_halves")
 
 
 def test_compose_degree_mismatch():
@@ -246,34 +258,59 @@ def _fresh(t):
     return Tangle(t.n, t.partners)
 
 
-def test_compose_agrees_with_the_oracle_before_and_after_halves_are_kept():
-    # on fresh copies a.b prepares a's upper and b's lower half and b.a the
-    # other two; a.b again, a.a and b.b then read only kept halves, and a
-    # fresh c.c prepares both halves of one tangle in one product
+def test_compose_agrees_with_the_oracle_before_and_after_halves_are_kept(
+        monkeypatch):
+    # against fresh tables, on fresh copies, a.b takes the halves of a and b
+    # and fills a pairing, two fusions and a product, and b.a the other
+    # pairing; a.b again, a.a and b.b then read kept halves and partly
+    # filled tables, and a fresh c.c takes both halves of one tangle in one
+    # product.  A second pass over the same pairs reads only warm tables.
+    monkeypatch.setattr(tangles, "_TABLES", {})
     rng = random.Random(16)
-    pairs = [itertools.product(all_tangles(n), repeat=2) for n in range(1, 6)]
+    pairs = [list(itertools.product(all_tangles(n), repeat=2))
+             for n in range(1, 6)]
     for n in (8, 9, 10):
         ts = all_tangles(n)
         pairs.append([(rng.choice(ts), rng.choice(ts)) for _ in range(100)])
-    for a, b in itertools.chain(*pairs):
-        a, b, c = _fresh(a), _fresh(b), _fresh(a)
-        for x, y in ((a, b), (b, a), (a, b), (a, a), (b, b), (c, c)):
-            got, m = compose(x, y)
-            assert (as_blockset(got), m) == naive_compose(x.n, x.blocks,
-                                                          y.blocks)
+    for warm in (False, True):
+        for a, b in itertools.chain(*pairs):
+            if not warm:
+                a, b = _fresh(a), _fresh(b)
+            for x, y in ((a, b), (b, a), (a, b), (a, a), (b, b),
+                         (_fresh(a), _fresh(a))):
+                got, m = compose(x, y)
+                assert (as_blockset(got), m) == naive_compose(x.n, x.blocks,
+                                                              y.blocks)
+
+
+def _mask(n, entries):
+    # the mask of a row whose arcs have these left ends: bit n - i for i
+    return sum(1 << n - i for i in entries)
 
 
 def test_kept_halves_are_unchanged_by_products():
+    # a tangle keeps its halves as the opener masks of its two rows, the
+    # tuples `boundary_tuples` gives; products change neither them nor the
+    # table's halves for them
     rng = random.Random(17)
     for n in (5, 8):
         ts = [_fresh(t) for t in rng.sample(all_tangles(n), 30)]
-        before = [copy.deepcopy((_prepared_upper(t), _prepared_lower(t)))
-                  for t in ts]
+        tab = tangles._table(n)
+
+        def kept():
+            return [(tab.halves_of(t), t._halves,
+                     [(h.mask, h.row, h.through) for h in tab.halves_of(t)])
+                    for t in ts]
+
+        before = kept()
+        for t in ts:
+            bl, br = boundary_tuples(t)
+            assert t._halves == _mask(n, bl.entries) << n | _mask(n, br.entries)
         for a, b in itertools.product(ts, repeat=2):
             compose(a, b)
         e = AlgebraElement(n, dict.fromkeys(ts, 1))
         alg_mul(e, e, 2)
-        assert [(t._upper_half, t._lower_half) for t in ts] == before
+        assert kept() == before
 
 
 def test_kept_halves_leave_value_and_formats_alone():
@@ -281,8 +318,7 @@ def test_kept_halves_leave_value_and_formats_alone():
     for t in [*all_tangles(5), *word_tangles(10, 20, rng)]:
         fresh, kept = _fresh(t), _fresh(t)
         compose(kept, kept)
-        assert not hasattr(fresh, "_upper_half")
-        assert hasattr(kept, "_upper_half") and hasattr(kept, "_lower_half")
+        assert not hasattr(fresh, "_halves") and hasattr(kept, "_halves")
         assert pickle.dumps(kept) == pickle.dumps(fresh)
         for twin in (kept, pickle.loads(pickle.dumps(kept)), copy.copy(kept)):
             assert twin == fresh and hash(twin) == hash(fresh)
@@ -291,45 +327,76 @@ def test_kept_halves_leave_value_and_formats_alone():
             assert compose(twin, t) == compose(_fresh(t), t)
 
 
-def _swap_partners(p, u, v):
-    # u and v trade partners; the array stays an involution
-    q = list(p)
-    a, b = p[u], p[v]
-    q[u], q[b], q[v], q[a] = b, u, a, v
-    return tuple(q)
+def test_products_are_shared():
+    # one Tangle per diagram, whichever pair or entry point produced it
+    e1, e2 = generator(4, "e", 1), generator(4, "e", 2)
+    t, _ = compose(e1, e2)
+    assert compose(e1, e2)[0] is t
+    assert compose(compose(e1, e2)[0], identity(4))[0] is t
+    prod = alg_mul(AlgebraElement(4, {e1: 1}), AlgebraElement(4, {e2: 1}), 2)
+    assert [*prod.terms] == [t] and [*prod.terms][0] is t
 
 
-def _crossing(n, p, *points):
-    # the blocks `_check_planar` names, or None when it accepts
-    try:
-        _check_planar(n, p, *points)
-    except CrossingError as exc:
-        return exc.block_a, exc.block_b
-    return None
+# halves, pairings, fusions and products of degree n once every pairing
+# and every fusion the products reach are filled
+TABLE_COUNTS = {3: (3, 9, 5, 4), 4: (6, 36, 14, 10), 5: (10, 100, 27, 21),
+                6: (20, 400, 73, 50), 7: (35, 1225, 151, 106),
+                8: (70, 4900, 400, 242)}
 
 
-def test_narrowed_planarity_scan_agrees_with_the_full_scan():
-    # products damaged among the points the walk wrote, and between one of
-    # them and a copied point: the scan over the written points raises
-    # exactly when the full scan does, naming the same blocks
-    outcomes = {"rewired": set(), "copied": set()}
-    for n in range(2, 6):
-        ts = all_tangles(n)
-        for a, b in itertools.product(ts, repeat=2):
-            upper = _upper_half(n, a.partners)
-            lower = _lower_half(n, b.partners)
-            p, _ = _stack(n, upper, lower)
-            wrote = upper[-1] + lower[-1]
-            assert _crossing(n, p, upper[-1], lower[-1]) is None
-            for u, v in itertools.permutations(range(1, 2 * n + 1), 2):
-                if u not in wrote or p[u] == v:
-                    continue
-                q = _swap_partners(p, u, v)
-                want = _crossing(n, q)
-                assert _crossing(n, q, upper[-1], lower[-1]) == want
-                kind = "rewired" if v in wrote else "copied"
-                outcomes[kind].add(want is None)
-    assert outcomes == {"rewired": {True, False}, "copied": {True, False}}
+def test_the_product_table_is_proved_at_small_degrees(monkeypatch):
+    # a product a.b reads a's bottom and b's top half only through their
+    # pairing, a's top half only through its fusion by fa and b's bottom
+    # half only through its fusion by fb.  So an entry checked against the
+    # oracle on one pair of tangles that reaches it holds for every pair,
+    # and filling every pairing and every fusion the products reach proves
+    # the table at that degree.
+    counts = {}
+    for n in TABLE_COUNTS:
+        monkeypatch.setattr(tangles, "_TABLES", {})
+        tab = tangles._table(n)
+        by_halves = {}
+        for t in all_tangles(n):
+            bl, br = naive_bl_br(n, t.blocks)
+            by_halves[_mask(n, bl), _mask(n, br)] = t
+        tops = {x: t for (x, _), t in by_halves.items()}
+        bottoms = {y: t for (_, y), t in by_halves.items()}
+        assert len(tops) == len(bottoms) == math.comb(n, n // 2)
+
+        def through(mask):
+            return n - 2 * bin(mask).count("1")
+
+        def check(a, b):
+            # the product of a and b against the oracle; returns its masks
+            want, loops = naive_compose(n, a.blocks, b.blocks)
+            got, m = compose(a, b)
+            assert (as_blockset(got), m) == (want, loops)
+            bl, br = naive_bl_br(n, want)
+            return _mask(n, bl), _mask(n, br)
+
+        reach_a, reach_b = {}, {}
+        for y, a in bottoms.items():
+            for x, b in tops.items():
+                check(a, b)
+                _, fa, fb = tab.pairing(tab[y], x)
+                reach_a.setdefault((through(y), fa), (y, b))
+                reach_b.setdefault((through(x), fb), (a, x))
+        checked = set()
+        for h in tops:
+            fused = tab[h]
+            for (r, f), (y, b) in reach_a.items():
+                if r == through(h):
+                    assert fused[f] == check(by_halves[h, y], b)[0]
+                    checked.add((h, f))
+            for (r, f), (a, x) in reach_b.items():
+                if r == through(h):
+                    assert fused[f] == check(a, by_halves[x, h])[1]
+                    checked.add((h, f))
+        fusions = sum(map(len, tab.values()))
+        assert fusions == len(checked)
+        counts[n] = (len(tab), sum(len(h.pairs) for h in tab.values()),
+                     fusions, len(tab.products))
+    assert counts == TABLE_COUNTS
 
 
 def test_associativity_and_loop_cocycle_small():
