@@ -4,17 +4,20 @@ A degree-n tangle is n disjoint strings in a rectangle joining the 2n
 boundary points; up to homotopy it is determined by the induced perfect
 matching on the boundary, so we store exactly that, as a partner array.
 Points are signed integers: +i is the i-th upper point, -i the i-th lower
-point, encoded as i and n + i.  Walking the boundary cycle (upper row left
-to right, then lower row right to left) gives each point a position
+point.  Walking the boundary cycle (upper row left to right, then lower row
+right to left) gives each point a position
 
     pos(+i) = i,     pos(-i) = 2n + 1 - i,
 
-and planarity of the strings is equivalent to no two blocks interleaving in
-position order, which one stack scan decides.  Composition stacks one
-diagram on top of another, fuses the middle row, discards the closed loops
-that appear in the interior and reports how many were discarded; that count
-is the exponent used by the twisted algebra product.  `dagger` is the
-top-bottom reflection, which makes TL_n a regular *-monoid.
+that is, pos(w) = w mod (2n + 1).  Positions are the one internal encoding:
+partner arrays are indexed by them, and signed points appear only in
+blocks, text, documents and errors.  The strings are disjoint exactly when
+no two blocks interleave in position order, which one stack scan decides.
+Composition stacks one diagram on top of another, fuses the middle row,
+discards the closed loops that appear in the interior and reports how many
+were discarded; that count is the exponent used by the twisted algebra
+product.  `dagger` is the top-bottom reflection, which makes TL_n a regular
+*-monoid; on positions it is q -> 2n + 1 - q.
 
 A `Tangle` is never built from unchecked data: `make_tangle`,
 `words.evaluate` and the product table (`_Table`), which builds each product
@@ -50,11 +53,11 @@ __all__ = [
 class Tangle:
     """An immutable degree-n tangle stored as its partner array.
 
-    `partners` is a tuple of 2n+1 ints indexed by encoded point (+i -> i,
-    -i -> n+i; index 0 holds 0): entry e is the encoded point that e is
-    joined to.  A matching has exactly one such array, so equality,
-    hashing, repr and pickling use the array alone.  A Tangle is never
-    built from unchecked data; `make_tangle` validates.
+    `partners` is a tuple of 2n+1 ints indexed by boundary position
+    (index 0 holds 0): entry q is the position of q's partner.  A matching
+    has exactly one such array, so equality, hashing, repr and pickling use
+    the array alone.  A Tangle is never built from unchecked data;
+    `make_tangle` validates.
 
     Private slots: `_hash`, None until the tangle is first hashed, and
     `_halves`, the masks of its two rows as one int (`_masks`; 28 bytes at
@@ -90,22 +93,13 @@ class Tangle:
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Canonical blocks: each pair, and the pairs, ordered by position."""
         n, p = self.n, self.partners
-        return tuple(_block(n, p, q) for q, r in _boundary_scan(n, p) if r > q)
-
-
-def _boundary_scan(n, p):
-    # (position, partner's position) for every position in boundary order;
-    # the map between positions and encoded points is its own inverse
-    k = 3 * n + 1
-    return enumerate((f if f <= n else k - f
-                      for f in p[1:n + 1] + p[:n:-1]), 1)
+        return tuple(_block(n, p, q) for q, r in enumerate(p) if r > q)
 
 
 def _block(n, p, q):
-    # the block opened at position q, as a pair of signed points
-    e = q if q <= n else 3 * n + 1 - q
-    f = p[e]
-    return (e if e <= n else n - e), (f if f <= n else n - f)
+    # the block opened at position q, as a pair of signed points (pos^-1)
+    r = p[q]
+    return (q if q <= n else q - 2 * n - 1), (r if r <= n else r - 2 * n - 1)
 
 
 def _check_planar(n: int, p: tuple[int, ...]) -> None:
@@ -120,27 +114,20 @@ def _check_planar(n: int, p: tuple[int, ...]) -> None:
     closes; the next one in the list then opened first after it.
     """
     stack = [0]                     # a sentinel, then partners of open strings
-    for e in range(1, n + 1):       # upper row: opens if partner right or below
-        f = p[e]
-        if f > e:
-            stack.append(f)
-        elif stack.pop() != e:
+    for q in range(1, 2 * n + 1):
+        r = p[q]
+        if r > q:
+            stack.append(r)
+        elif stack.pop() != q:
             break
     else:
-        for e in range(2 * n, n, -1):   # lower row: opens if partner is left
-            f = p[e]
-            if n < f < e:
-                stack.append(f)
-            elif stack.pop() != e:
-                break
-        else:
-            if len(stack) == 1:
-                return
-    opens = [q for q, r in _boundary_scan(n, p) if r > q]
+        if len(stack) == 1:
+            return
+    opens = [q for q, r in enumerate(p) if r > q]
     nxt = dict(zip([0, *opens], [*opens, 2 * n + 1]))
     prv = dict(zip([*opens, 2 * n + 1], [0, *opens]))
     best = (2 * n + 1, 0)
-    for q, r in _boundary_scan(n, p):
+    for q, r in enumerate(p):
         if r < q:
             later = nxt[r]
             if later < q:
@@ -175,12 +162,12 @@ def make_tangle(n: int, blocks) -> Tangle:
             seen.add(w)
         if u == v:
             raise NotAMatching(f"block {blk} repeats a point")
-        pairs.append((u if u > 0 else n - u, v if v > 0 else n - v))
+        pairs.append((u % (2 * n + 1), v % (2 * n + 1)))   # pos(u), pos(v)
     if len(pairs) != n:
         raise NotAMatching(f"expected {n} blocks, got {len(pairs)}")
     p = [0] * (2 * n + 1)
-    for eu, ev in pairs:
-        p[eu], p[ev] = ev, eu
+    for q, r in pairs:
+        p[q], p[r] = r, q
     p = tuple(p)
     _check_planar(n, p)
     return Tangle(n, p)
@@ -190,7 +177,7 @@ def make_tangle(n: int, blocks) -> Tangle:
 def identity(n: int) -> Tangle:
     """The unit of TL_n: n vertical strings."""
     _check_degree(n)
-    return Tangle(n, (0, *range(n + 1, 2 * n + 1), *range(1, n + 1)))
+    return Tangle(n, (0, *range(2 * n, 0, -1)))
 
 
 def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
@@ -304,10 +291,10 @@ class _Half(dict):
 
 
 def _masks(n: int, p: tuple[int, ...]) -> int:
-    # top mask << n | bottom mask of a planar partner array
-    return int("".join(["1" if i < p[i] <= n else "0" for i in range(1, n + 1)]
-                       + ["1" if p[j] > j else "0"
-                          for j in range(n + 1, 2 * n + 1)]), 2)
+    # top mask << n | bottom mask of a planar partner array; -j is at 2n+1-j
+    return int("".join(["1" if q < p[q] <= n else "0" for q in range(1, n + 1)]
+                       + ["1" if n < p[q] < q else "0"
+                          for q in range(2 * n, n, -1)]), 2)
 
 
 def _pairing(n: int, low, up) -> tuple[int, bytes, bytes]:
@@ -353,18 +340,18 @@ def _pairing(n: int, low, up) -> tuple[int, bytes, bytes]:
 
 def _join(n: int, top: _Half, bottom: _Half) -> tuple[int, ...]:
     # the partner array of `top` over `bottom`, their k-th through points
-    # joined for every k
-    p = [*top.row, *[f and n + f for f in bottom.row[1:]]]
+    # joined for every k; -j is at position m - j
+    m = 2 * n + 1
+    p = [*top.row, *[f and m - f for f in bottom.row[:0:-1]]]
     for i, j in zip(top.through, bottom.through, strict=True):
-        p[i], p[n + j] = n + j, i
+        p[i], p[m - j] = m - j, i
     return tuple(p)
 
 
 def dagger(a: Tangle) -> Tangle:
     """Reflection through the horizontal midline: every point changes sign."""
-    n = a.n
-    s = [e + n if e <= n else e - n for e in a.partners]
-    return Tangle(n, (0, *s[n + 1:], *s[1:n + 1]))
+    m = 2 * a.n + 1
+    return Tangle(a.n, (0, *[m - r for r in a.partners[:0:-1]]))
 
 
 def profile(a: Tangle) -> tuple[int, frozenset, frozenset]:
@@ -375,7 +362,7 @@ def profile(a: Tangle) -> tuple[int, frozenset, frozenset]:
     """
     n, p = a.n, a.partners
     dom = frozenset(i for i in range(1, n + 1) if p[i] > n)
-    codom = frozenset(p[i] - n for i in dom)
+    codom = frozenset(2 * n + 1 - p[i] for i in dom)
     return len(dom), dom, codom
 
 
@@ -386,7 +373,7 @@ def boundary_tuples(a: Tangle) -> tuple[TnTuple, TnTuple]:
     """
     n, p = a.n, a.partners
     upper = [i for i in range(n, 0, -1) if i < p[i] <= n]
-    lower = [j for j in range(n, 0, -1) if p[n + j] > n + j]
+    lower = [2 * n + 1 - q for q in range(n + 1, 2 * n + 1) if n < p[q] < q]
     return check_tuple(n, upper), check_tuple(n, lower)
 
 

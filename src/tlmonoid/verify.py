@@ -69,13 +69,10 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     through `_check_planar`; the tests check every one up to n = 8.
     """
     _check_degree(n, most=_MAX_ENUM_DEGREE)
-    # boundary position r (from 0) -> encoded point (+i is i, -i is n + i);
-    # the map is an involution up to the shift, so `at` is its inverse
-    enc = [r + 1 if r < n else 3 * n - r for r in range(2 * n)]
-    at = [e - 1 for e in enc]
     memo = {0: [()]}
-    # the top level is streamed rather than stored in `memo`
-    return tuple(Tangle(n, (0, *[enc[r + m[r]] for r in at]))
+    # the top level is streamed rather than stored in `memo`; position q's
+    # partner is q plus its offset
+    return tuple(Tangle(n, (0, *[q + d for q, d in enumerate(m, 1)]))
                  for t in range(1, 2 * n, 2)
                  for inner in _offset_matchings(t - 1, memo)
                  for tail in _offset_matchings(2 * n - t - 1, memo)

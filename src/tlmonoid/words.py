@@ -116,7 +116,7 @@ class Word:
 
     def concat(self, other: "Word") -> "Word":
         if self.n != other.n:
-            raise ValueError("cannot concatenate words of different degree")
+            raise DegreeMismatch(f"degrees {self.n} and {other.n} differ")
         return Word(self.n, self.letters + other.letters)
 
 
@@ -145,15 +145,16 @@ def word_from_text(n: int, text: str) -> Word:
 
 def _action(n: int, l: Letter) -> tuple[int, ...]:
     """(u, v, lo, hi, d, s, t): the generator of `l` under a diagram joins
-    its lower points u, v, moves the strings ending at lo..hi-1 by d and
-    adds the lower arc (s, t).  Points are encoded as in `Tangle.partners`.
+    the lower points at positions u, v, moves the strings ending at
+    positions lo..hi-1 by d and adds the lower arc (s, t).  Positions are
+    those of `Tangle.partners`: -j is at 2n + 1 - j.
     """
-    i, m = n + l.index, 2 * n
-    if l.alphabet == "L":       # lower j -> j-2 for j >= index+2
-        return i, i + 1, i + 2, m + 1, -2, m - 1, m
+    j, m = 2 * n - l.index, n + 1     # -(index + 1) is at j, -n at m
+    if l.alphabet == "L":       # lower k -> k-2 for k >= index+2
+        return j, j + 1, m, j, 2, m, m + 1
     if l.alphabet == "R":       # the dagger image of L
-        return m - 1, m, i, m - 1, 2, i, i + 1
-    return i, i + 1, 0, 0, 0, i, i + 1     # E: `Letter` admits no other
+        return m, m + 1, m + 2, j + 2, -2, j, j + 1
+    return j, j + 1, 0, 0, 0, j, j + 1     # E: `Letter` admits no other
 
 
 def evaluate(w: Word) -> tuple[Tangle, int]:

@@ -73,7 +73,7 @@ def test_elements_refuse_terms_of_another_degree():
 
 
 # a crossing partner array of degree 3: blocks (1,-2)(2,-1)(3,-3)
-CROSSING = (0, 5, 4, 6, 2, 1, 3)
+CROSSING = (0, 5, 6, 4, 3, 1, 2)
 
 
 def inject_crossings(monkeypatch, bad_pairs):

@@ -40,7 +40,8 @@ from tlmonoid import (
 
 from tlmonoid import tangles
 
-from oracles import as_blockset, naive_bl_br, naive_compose
+from oracles import (all_matchings, as_blockset, naive_bl_br, naive_compose,
+                     naive_noncrossing, pos)
 
 # the worked 9-strand pair used throughout: alpha has bl (5,3,2), br (7,4,1)
 ALPHA_BLOCKS = [(1, -3), (8, -6), (9, -9), (2, 7), (3, 4), (5, 6),
@@ -94,6 +95,50 @@ def test_crossing_error_names_first_crossing_pair():
     with pytest.raises(CrossingError) as exc:
         make_tangle(6, [(1, 4), (2, 5), (3, -1), (6, -4), (-2, -6), (-3, -5)])
     assert (exc.value.block_a, exc.value.block_b) == ((1, 4), (2, 5))
+
+
+def _crosses(n, a, b):
+    return not naive_noncrossing(n, [a, b])
+
+
+def test_planarity_scan_agrees_with_oracle_on_every_matching():
+    # every perfect matching of the 2n points up to n = 5 (945 at n = 5):
+    # accepted exactly when planar, with each partner at its block mate's
+    # position; else the error names the first block in canonical order
+    # that crosses a later one, and the first later block it crosses
+    for n in range(1, 6):
+        points = [*range(1, n + 1), *range(-1, -n - 1, -1)]
+        for blocks in all_matchings(points):
+            canon = sorted((tuple(sorted(b, key=lambda v: pos(v, n)))
+                            for b in blocks), key=lambda b: pos(b[0], n))
+            if naive_noncrossing(n, blocks):
+                t = make_tangle(n, blocks)
+                assert t.blocks == tuple(canon)
+                for u, v in blocks:
+                    assert t.partners[pos(u, n)] == pos(v, n)
+                    assert t.partners[pos(v, n)] == pos(u, n)
+                continue
+            with pytest.raises(CrossingError) as exc:
+                make_tangle(n, blocks)
+            a = next(a for i, a in enumerate(canon)
+                     if any(_crosses(n, a, b) for b in canon[i + 1:]))
+            b = next(b for b in canon[canon.index(a) + 1:]
+                     if _crosses(n, a, b))
+            assert (exc.value.block_a, exc.value.block_b) == (a, b)
+
+
+def test_every_partner_array_writer_agrees(monkeypatch):
+    # make_tangle, the evaluate kernel (build_tangle), the product table's
+    # join (from a cold table), dagger and identity all write one layout
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    for n in range(1, 8):
+        one = identity(n)
+        assert one == make_tangle(n, [(i, -i) for i in range(1, n + 1)])
+        for t in all_tangles(n):
+            assert make_tangle(n, t.blocks).partners == t.partners
+            assert build_tangle(*factorize(t)).partners == t.partners
+            assert compose(t, one)[0].partners == t.partners
+            assert dagger(t) == make_tangle(n, [(-u, -v) for u, v in t.blocks])
 
 
 # every integer is read only in the spelling `str(int)` gives
@@ -214,7 +259,7 @@ def test_compose_checks_planarity_of_every_product(monkeypatch):
     def mul(a, b):
         return alg_mul(AlgebraElement(2, {a: 1}), AlgebraElement(2, {b: 1}), 2)
 
-    crossed = Tangle(2, (0, 4, 3, 2, 1))
+    crossed = Tangle(2, (0, 3, 4, 1, 2))
     for tables in ({}, tangles._TABLES):
         monkeypatch.setattr(tangles, "_TABLES", tables)
         for a, b in ((crossed, identity(2)), (identity(2), crossed)):

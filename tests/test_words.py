@@ -6,6 +6,7 @@ import pytest
 
 from tlmonoid import (
     AlphabetError,
+    DegreeMismatch,
     E,
     L,
     R,
@@ -105,6 +106,11 @@ def test_hat_is_a_morphism():
             for _ in range(ln)))
         u, v = mk(rng.randint(0, 6)), mk(rng.randint(0, 6))
         assert hat(u.concat(v)) == hat(u).concat(hat(v))
+
+
+def test_concat_refuses_words_of_another_degree():
+    with pytest.raises(DegreeMismatch, match="degrees 5 and 6 differ"):
+        W(5, "L1").concat(W(6, "L1"))
 
 
 def test_hat_preserves_evaluation():
