@@ -15,8 +15,8 @@ number given as text is read by `rational`, which refuses exponent
 notation.  delta is threaded through the product rather than stored on
 elements, and is recorded when serializing.  This is the one module that
 knows about delta: the loop-weighted relations of the hook alphabet carry
-integer powers of it (`twist_relations`), and `verify_xi_prime` proves them
-for every delta at once by comparing diagrams and exponents.
+integer powers of it (`twist_relations`).  It holds no verification code;
+`verify.verify_xi_prime` proves those relations for every delta at once.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import lcm
 
 from .errors import AlphabetError, DegreeMismatch
 from .relations import relation_set
-from .tangles import (Tangle, _table, compose, identity, tangle_from_text,
+from .tangles import (Tangle, _table, identity, tangle_from_text,
                       tangle_to_text)
 from .tuples import _canonical_int, _check_degree
 from .words import Letter, Word, evaluate
@@ -43,8 +43,6 @@ __all__ = [
     "alg_eval_word",
     "TwistedRelation",
     "twist_relations",
-    "verify_xi_prime",
-    "XiPrimeReport",
     "element_to_text",
     "element_from_text",
     "rational",
@@ -209,62 +207,6 @@ def twist_relations(n: int) -> list[TwistedRelation]:
         m_rhs = evaluate(Word(n, rel.rhs))[1]
         out.append(TwistedRelation(rel.rid, m_rhs, rel.lhs, m_lhs, rel.rhs))
     return out
-
-
-@dataclass(frozen=True)
-class RelationCheck:
-    rid: str
-    passed: bool
-
-
-@dataclass(frozen=True)
-class XiPrimeReport:
-    n: int
-    checks: tuple[RelationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_text(self) -> str:
-        lines = [f"xi-prime n={self.n}: identities in delta"]
-        lines += [f"  {c.rid}: {'pass' if c.passed else 'FAIL'}"
-                  for c in self.checks]
-        lines.append(f"result: {'pass' if self.passed else 'FAIL'}"
-                     f" ({len(self.checks)} relations)")
-        return "\n".join(lines)
-
-
-def _side(n, letters, generators) -> tuple[Tangle, int]:
-    # the letters' generator diagrams multiplied out by `compose`, which
-    # reads the product table whose loop counts alg_mul weights
-    t, loops = identity(n), 0
-    for l in letters:
-        t, m = compose(t, generators[l])
-        loops += m
-    return t, loops
-
-
-def verify_xi_prime(n: int) -> XiPrimeReport:
-    """Prove every loop-weighted relation of `twist_relations(n)`.
-
-    Each side of delta^a u = delta^b v is one diagram times a power of
-    delta, so the relation holds for every delta exactly when both sides
-    have the same diagram and the same exponent: a plus the loops closed
-    multiplying out u equals b plus those of v.  The sides are multiplied
-    out by `compose`, independently of `evaluate`, which counted a and b.
-    Raises DegreeTooSmall for n < 3.
-    """
-    rels = twist_relations(n)
-    generators = {l: evaluate(Word(n, (l,)))[0]
-                  for rel in rels for l in rel.lhs + rel.rhs}
-    checks = []
-    for rel in rels:
-        lhs, a = _side(n, rel.lhs, generators)
-        rhs, b = _side(n, rel.rhs, generators)
-        same = lhs == rhs and rel.lhs_power + a == rel.rhs_power + b
-        checks.append(RelationCheck(rel.rid, same))
-    return XiPrimeReport(n, tuple(checks))
 
 
 # -- element text format ---------------------------------------------------------

@@ -177,51 +177,43 @@ def render_tangle(t) -> str:
         return (i - 1) * cw
 
     def label_row(prime=""):
-        row = [" "] * width
-        for i in range(1, n + 1):
-            for k, ch in enumerate(str(i) + prime):
-                if col(i) + k < width:
-                    row[col(i) + k] = ch
-        return "".join(row).rstrip()
+        return "".join(f"{i}{prime}".ljust(cw)
+                       for i in range(1, n + 1)).rstrip()
 
     uppers, lowers, throughs = [], [], []
-    for u, v in t.blocks:
+    for u, v in t.blocks:           # u comes first in boundary order
         if u > 0 and v > 0:
-            uppers.append((min(u, v), max(u, v)))
+            uppers.append((u, v))
         elif u < 0 and v < 0:
-            lowers.append((min(-u, -v), max(-u, -v)))
+            lowers.append((-v, -u))
         else:
             throughs.append((u, -v))
 
-    def depth_rows(arcs):
-        rows = {}
+    base = [" "] * width
+    for i, _ in throughs:
+        base[col(i)] = "|"
+
+    def arc_rows(arcs):
+        # row d draws the arcs enclosed by d others, those open at its left end
+        rows, ends = [], []
         for a, b in sorted(arcs):
-            d = sum(1 for c, e in arcs if c < a and b < e)
-            rows.setdefault(d, []).append((a, b))
-        return [rows[d] for d in sorted(rows)]
+            while ends and ends[-1] < a:
+                ends.pop()
+            if len(ends) == len(rows):
+                rows.append(base[:])
+            x, y = col(a), col(b)
+            rows[len(ends)][x:y + 1] = "[" + "-" * (y - x - 1) + "]"
+            ends.append(b)
+        return ["".join(row).rstrip() for row in rows]
 
-    def arc_row(arcs):
-        row = [" "] * width
-        for i, _ in throughs:
-            row[col(i)] = "|"
-        for a, b in arcs:
-            row[col(a)] = "["
-            row[col(b)] = "]"
-            for c in range(col(a) + 1, col(b)):
-                row[c] = "-"
-        return "".join(row).rstrip()
-
-    lines = [label_row()]
-    for arcs in depth_rows(uppers):
-        lines.append(arc_row(arcs))
+    lines = [label_row(), *arc_rows(uppers)]
     if throughs:
         if all(i == j for i, j in throughs):
-            lines.append(arc_row([]))
+            lines.append("".join(base).rstrip())
         else:
             lines.append("strings: " +
                          " ".join(f"{i}-{j}'" for i, j in sorted(throughs)))
-    for arcs in reversed(depth_rows(lowers)):
-        lines.append(arc_row(arcs))
+    lines += reversed(arc_rows(lowers))
     lines.append(label_row("'"))
     return "\n".join(lines)
 

@@ -103,30 +103,40 @@ def _block(n, p, q):
 
 
 def _check_planar(n: int, p: tuple[int, ...]) -> None:
-    """Raise CrossingError unless the strings of partners `p` are disjoint.
+    """Raise unless `p` is the partner array of disjoint strings.
 
-    One stack scan of all 2n points in boundary order: each point either
-    opens a string or closes the string opened last.  Only on failure is
-    the pair to report searched for: the first block in canonical order
-    crossing a later one, and the first such later block.  A block crosses
-    the strings opened after it and still open when it closes, so each
-    opening position is unlinked from a list of all of them as its string
-    closes; the next one in the list then opened first after it.
+    One stack scan of all 2n points in boundary order: each point opens a
+    string or closes the one opened last, which must point back to it, and
+    a scan that ends with none open proves `p` a non-crossing matching.
+    Only on failure is `p` read again: NotAMatching, naming the degree,
+    unless its 2n + 1 entries, 0 first, pair the positions; else
+    CrossingError names the first block in canonical order crossing a later
+    one, and the first such later block.  A block crosses the strings
+    opened after it and still open when it closes, so each opening position
+    is unlinked from a list of all of them as its string closes; the next
+    one in the list then opened first after it.
     """
-    stack = [0]                     # a sentinel, then partners of open strings
-    for q in range(1, 2 * n + 1):
+    m = 2 * n + 1
+    if len(p) != m or p[0]:
+        raise NotAMatching(f"partners of degree {n} are {m} entries, 0 first")
+    stack = [0]                     # a sentinel, then open positions
+    for q in range(1, m):
         r = p[q]
         if r > q:
-            stack.append(r)
-        elif stack.pop() != q:
+            stack.append(q)
+        elif stack.pop() != r or p[r] != q:
             break
     else:
         if len(stack) == 1:
             return
+    for q, r in enumerate(p):
+        if q and not (0 < r < m and r != q and p[r] == q):
+            raise NotAMatching(
+                f"position {q} has partner {r}: not a matching of degree {n}")
     opens = [q for q, r in enumerate(p) if r > q]
-    nxt = dict(zip([0, *opens], [*opens, 2 * n + 1]))
-    prv = dict(zip([*opens, 2 * n + 1], [0, *opens]))
-    best = (2 * n + 1, 0)
+    nxt = dict(zip([0, *opens], [*opens, m]))
+    prv = dict(zip([*opens, m], [0, *opens]))
+    best = (m, 0)
     for q, r in enumerate(p):
         if r < q:
             later = nxt[r]
@@ -160,8 +170,6 @@ def make_tangle(n: int, blocks) -> Tangle:
             if w in seen:
                 raise NotAMatching(f"point {w} appears more than once")
             seen.add(w)
-        if u == v:
-            raise NotAMatching(f"block {blk} repeats a point")
         pairs.append((u % (2 * n + 1), v % (2 * n + 1)))   # pos(u), pos(v)
     if len(pairs) != n:
         raise NotAMatching(f"expected {n} blocks, got {len(pairs)}")
@@ -185,6 +193,7 @@ def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
 
     Both are read from the degree's product table (`_Table`), whose
     entries are computed and checked the first time a product needs them.
+    A hand-built factor that is not a planar matching raises (`_check_planar`).
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")

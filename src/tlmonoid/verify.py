@@ -1,11 +1,13 @@
 """Machine checks of the presentation properties at desk scale.
 
 This module is the enumeration oracle for TL_n (non-crossing perfect
-matchings, counted by the Catalan numbers) together with exhaustive
-presentation checks and a seeded rewriting fuzzer.  All randomness comes
-from a named seed recorded in the report, and report rendering avoids
-set iteration order, so outputs can be diffed byte by byte; elapsed times
-are collected but only printed on request.
+matchings, counted by the Catalan numbers) together with the per-degree
+checks, `verify_presentation` of both presentations and `verify_xi_prime`
+of the loop-weighted Xi relations for every delta, each returning one
+`PresentationReport` of named `CheckResult`s, and a seeded rewriting
+fuzzer.  All randomness comes from a named seed recorded in the report, and
+report rendering avoids set iteration order, so outputs can be diffed byte
+by byte; elapsed times are collected but only printed on request.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
+from .algebra import twist_relations
 from .errors import TLError
 from .relations import apply_step, relation_index, relation_set, Step
-from .tangles import Tangle, boundary_tuples, factorize
+from .tangles import Tangle, boundary_tuples, compose, factorize, identity
 from .tuples import _check_degree, enumerate_tuples
 from .words import (Word, balanced_word, build_tangle, evaluate, hat,
                     hooks_to_pairs, letter)
@@ -29,6 +32,7 @@ __all__ = [
     "catalan",
     "enumerate_TL",
     "verify_presentation",
+    "verify_xi_prime",
     "fuzz_words",
     "PresentationReport",
     "FuzzReport",
@@ -166,6 +170,39 @@ def verify_presentation(n: int) -> PresentationReport:
     checks.append(CheckResult(
         "factorize/build round-trip", bad_rt == 0, len(tangles)))
 
+    return PresentationReport(n, tuple(checks), time.perf_counter() - t0)
+
+
+def _side(n, letters, generators) -> tuple[Tangle, int]:
+    # the letters' generator diagrams multiplied out by `compose`, which
+    # reads the product table whose loop counts alg_mul weights
+    t, loops = identity(n), 0
+    for l in letters:
+        t, m = compose(t, generators[l])
+        loops += m
+    return t, loops
+
+
+def verify_xi_prime(n: int) -> PresentationReport:
+    """Prove every loop-weighted relation of `twist_relations(n)`.
+
+    Each side of delta^a u = delta^b v is one diagram times a power of
+    delta, so the relation holds for every delta exactly when both sides
+    have the same diagram and the same exponent: a plus the loops closed
+    multiplying out u equals b plus those of v.  The sides are multiplied
+    out by `compose`, independently of `evaluate`, which counted a and b.
+    One check per relation, by its id.  Raises DegreeTooSmall for n < 3.
+    """
+    t0 = time.perf_counter()
+    rels = twist_relations(n)
+    generators = {l: evaluate(Word(n, (l,)))[0]
+                  for rel in rels for l in rel.lhs + rel.rhs}
+    checks = []
+    for rel in rels:
+        lhs, a = _side(n, rel.lhs, generators)
+        rhs, b = _side(n, rel.rhs, generators)
+        same = lhs == rhs and rel.lhs_power + a == rel.rhs_power + b
+        checks.append(CheckResult(rel.rid, same, 1))
     return PresentationReport(n, tuple(checks), time.perf_counter() - t0)
 
 

@@ -175,7 +175,7 @@ def test_criterion_8_algebra():
     for n in range(3, 7):
         rep = verify_xi_prime(n)
         ok = ok and rep.passed
-        ok = ok and any(c.rid.startswith("E1") for c in rep.checks)
+        ok = ok and any(c.name.startswith("E1") for c in rep.checks)
     rng = random.Random(8)
 
     def rand_elem(n, ts):

@@ -22,6 +22,7 @@ from tlmonoid import (
     identity,
     one,
     scale,
+    twist_relations,
     verify_xi_prime,
     word_from_text,
     zero,
@@ -252,8 +253,9 @@ def test_verify_xi_prime_passes():
     for n in range(3, 12):
         rep = verify_xi_prime(n)
         assert rep.passed and all(c.passed for c in rep.checks), n
-        assert rep.to_text().splitlines()[0] == \
-            f"xi-prime n={n}: identities in delta"
+        assert [(c.name, c.count) for c in rep.checks] == \
+            [(r.rid, 1) for r in twist_relations(n)]
+        assert rep.to_text().splitlines()[0] == f"verify n={n}"
 
 
 def test_verify_xi_prime_rejects_zero_delta():
@@ -268,8 +270,8 @@ def test_verify_xi_prime_catches_a_miscounted_loop(monkeypatch):
     miscount_loops(monkeypatch)
     rep = verify_xi_prime(5)
     assert not rep.passed
-    failed = {c.rid for c in rep.checks if not c.passed}
-    assert failed == {c.rid for c in rep.checks if c.rid.startswith("E1(")}
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {c.name for c in rep.checks if c.name.startswith("E1(")}
     assert failed == {f"E1({i})" for i in range(1, 5)}
 
 

@@ -5,6 +5,9 @@ import sys
 
 import pytest
 
+from tlmonoid import enumerate_TL
+from tlmonoid.cli import render_tangle
+
 ALPHA = "n=9; blocks=(1,-3)(2,7)(3,4)(5,6)(8,-6)(9,-9)(-8,-7)(-5,-4)(-2,-1)"
 BETA = "n=9; blocks=(1,2)(3,4)(5,6)(7,-7)(8,9)(-2,-1)(-5,-4)(-6,-3)(-9,-8)"
 
@@ -140,6 +143,49 @@ def test_render_smoke():
     assert lines[0].split() == [str(i) for i in range(1, 10)]
     assert "strings: 1-3' 8-6' 9-9'" in out
     assert lines[-1].split() == [f"{i}'" for i in range(1, 10)]
+
+
+def _drawn_arcs(line, cw):
+    # the arcs a rendered row draws, as point pairs, each a bracket pair at
+    # its points' columns joined by dashes
+    cols = [c for c, ch in enumerate(line) if ch in "[]"]
+    assert "".join(line[c] for c in cols) == "[]" * (len(cols) // 2)
+    assert all(c % cw == 0 for c in cols)
+    arcs = set(zip(cols[::2], cols[1::2]))
+    assert all(line[x + 1:y] == "-" * (y - x - 1) for x, y in arcs)
+    return {(x // cw + 1, y // cw + 1) for x, y in arcs}
+
+
+def _by_depth(arcs):
+    # row d: the arcs that exactly d arcs of the same side enclose
+    rows = {}
+    for a, b in arcs:
+        d = sum(c < a and b < e for c, e in arcs)
+        rows.setdefault(d, set()).add((a, b))
+    return [rows[d] for d in sorted(rows)]
+
+
+def test_render_rows_read_back_as_the_arcs_by_depth():
+    # every tangle up to n = 7: the rows above the through line or legend
+    # draw the upper arcs, those below it the lower arcs, and an arc is in
+    # row d counted away from its label row exactly when d arcs enclose it
+    for n in range(1, 8):
+        cw = len(str(n)) + 2
+        for t in enumerate_TL(n):
+            upper = {(u, v) for u, v in t.blocks if u > 0 and v > 0}
+            lower = {(-v, -u) for u, v in t.blocks if u < 0 and v < 0}
+            through = n - len(upper) - len(lower)
+            up, low = _by_depth(upper), _by_depth(lower)
+            lines = render_tangle(t).splitlines()
+            assert len(lines) == 2 + len(up) + (through > 0) + len(low)
+            assert lines[0].split() == [str(i) for i in range(1, n + 1)]
+            assert lines[-1].split() == [f"{i}'" for i in range(1, n + 1)]
+            assert [_drawn_arcs(ln, cw) for ln in lines[1:1 + len(up)]] == up
+            assert [_drawn_arcs(ln, cw)
+                    for ln in lines[-2:-2 - len(low):-1]] == low
+            if through:
+                mid = lines[1 + len(up)]
+                assert mid.startswith("strings: ") or set(mid) <= {"|", " "}
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import json
@@ -269,6 +270,46 @@ def test_compose_checks_planarity_of_every_product(monkeypatch):
                 assert (exc.value.block_a, exc.value.block_b) == \
                     ((1, -2), (2, -1))
     assert not hasattr(crossed, "_halves")
+
+
+def test_compose_refuses_every_array_but_a_planar_matching(monkeypatch):
+    # every array (0, *e) with e in {1..2n}^2n, n <= 3, as either factor of
+    # a lambda against fresh tables: the 8 planar matchings compose as the
+    # oracle says, the 11 crossing ones raise CrossingError and the 46897
+    # others NotAMatching, and no refused array keeps halves
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    outcomes = collections.Counter()
+    for n in range(1, 4):
+        other = generator(n, "lambda", 1) if n > 1 else identity(1)
+        for e in itertools.product(range(1, 2 * n + 1), repeat=2 * n):
+            p = (0, *e)
+            blocks = [((q if q <= n else q - 2 * n - 1),
+                       (r if r <= n else r - 2 * n - 1))
+                      for q, r in enumerate(p) if r > q]
+            if any(r == q or p[r] != q for q, r in enumerate(p) if q):
+                want = NotAMatching
+            elif not naive_noncrossing(n, blocks):
+                want = CrossingError
+            else:
+                want = "planar"
+            t = Tangle(n, p)
+            for a, b in ((t, other), (other, t)):
+                if want == "planar":
+                    got, m = compose(a, b)
+                    assert (as_blockset(got), m) == \
+                        naive_compose(n, a.blocks, b.blocks)
+                else:
+                    with pytest.raises(want):
+                        compose(a, b)
+                    assert not hasattr(t, "_halves")
+                outcomes[want] += 1
+    assert outcomes == {"planar": 16, CrossingError: 22, NotAMatching: 93794}
+    # of the wrong length, not 0 first, or with an entry outside 1..2n
+    for n, p in ((2, (0, 2, 1)), (1, (0, 2, 1, 0)), (1, (1, 0, 2)),
+                 (1, (0, 0, 2)), (1, (0, 3, 1)), (1, (0, -1, 1))):
+        for a, b in ((Tangle(n, p), identity(n)), (identity(n), Tangle(n, p))):
+            with pytest.raises(NotAMatching):
+                compose(a, b)
 
 
 def test_compose_degree_mismatch():
