@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Exit codes: 0 success (or `eq` decided equal), 1 `eq` decided not-equal,
-2 usage or parse error, 3 a verification or certificate check failed,
-4 internal error (an unexpected exception, reported on one line).
+2 usage or parse error, 3 a verification or certificate check failed or
+rewriting ran out of its step budget (`rewrite.MAX_PUSH_STEPS`), 4 internal
+error (an unexpected exception, reported on one line).
 Words are single quoted arguments in the token grammar `L<i> R<i> E<i>`
 (case-insensitive, `1` for the empty word); tangles travel in their
 one-line text format.  `--n <degree>` is required by the commands that
@@ -23,7 +24,7 @@ import json
 import sys
 
 from .algebra import alg_eval_word, element_to_text, rational
-from .errors import TLError
+from .errors import BudgetExceeded, TLError
 from .relations import FAMILY_NAMES
 from .etranslate import certify
 from .rewrite import check_derivation, derivation_from_text, derivation_to_text
@@ -291,7 +292,7 @@ def main(argv=None) -> int:
             out = text() if text else None
     except (TLError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return CHECK_FAILED if isinstance(exc, BudgetExceeded) else USAGE_ERROR
     except Exception as exc:
         # never exit 1, which means "not equal", on a failure of our own
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -90,6 +90,10 @@ class EndMismatch(TLError):
     """Replaying a derivation did not arrive at its recorded end word."""
 
 
+class BudgetExceeded(TLError):
+    """Rewriting ran past its step budget (`rewrite.MAX_PUSH_STEPS`)."""
+
+
 # -- algebra and verification ------------------------------------------------
 
 class DegreeTooLarge(TLError):

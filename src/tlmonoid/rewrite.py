@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AlphabetError, DegreeMismatch, EndMismatch
+from .errors import AlphabetError, BudgetExceeded, DegreeMismatch, EndMismatch
 from .relations import (
     FAMILY_NAMES,
     Step,
@@ -172,6 +172,9 @@ def _rl(n, i, j):
     return f"RL3({i},{j})", (-i, j - 2, n - 1)
 
 
+MAX_PUSH_STEPS = 2 ** 20
+
+
 def _push(n, p, j, out, off):
     """P L_j ~ Lambda P' by RL steps; append them to `out`, return both.
 
@@ -180,9 +183,12 @@ def _push(n, p, j, out, off):
     letter, and todo holds the letters to its right.  A turn applies the
     RL rule where q's last letter meets that lambda letter, or moves it
     into lam once q is empty, or returns a rho letter to q.  The residue is
-    never longer than P, and strictly shorter after an RL2 step.
+    never longer than P, and strictly shorter after an RL2 step.  A push
+    through m rho letters can take 2^m - 1 RL steps, so one push takes at
+    most `MAX_PUSH_STEPS` of them and raises BudgetExceeded past that.
     """
     lam, q, todo = [], list(p), [j]
+    budget = MAX_PUSH_STEPS
     while todo:
         c = todo.pop()
         if c < 0:
@@ -190,6 +196,10 @@ def _push(n, p, j, out, off):
         elif not q:
             lam.append(c)
         else:
+            if not budget:
+                raise BudgetExceeded(f"a push took more than {MAX_PUSH_STEPS}"
+                                     " RL steps")
+            budget -= 1
             rid, left = _rl(n, q.pop(), c)
             out.append(_new(Step, (off + len(lam) + len(q), rid, True)))
             todo += left

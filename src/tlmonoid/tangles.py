@@ -193,7 +193,10 @@ def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
 
     Both are read from the degree's product table (`_Table`), whose
     entries are computed and checked the first time a product needs them.
-    A hand-built factor that is not a planar matching raises (`_check_planar`).
+    A hand-built factor is checked once, when it first meets the table: a
+    degree the degree rule refuses raises DegreeError, partners that are
+    not a tuple of ints NotAMatching, and an array that is not a planar
+    matching NotAMatching or CrossingError (`_check_planar`).
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
@@ -214,7 +217,10 @@ _TABLES: dict[int, _Table] = {}     # degree -> its product table
 
 
 def _table(n: int) -> _Table:
-    return _TABLES[n] if n in _TABLES else _TABLES.setdefault(n, _Table(n))
+    if n not in _TABLES:
+        _check_degree(n)                # so only an int keys a table
+        _TABLES[n] = _Table(n)
+    return _TABLES[n]
 
 
 class _Table(dict):
@@ -239,11 +245,17 @@ class _Table(dict):
         return half
 
     def halves_of(self, t: Tangle) -> tuple[_Half, _Half]:
-        # (top, bottom half); t's masks are kept after one full planarity scan
+        # (top, bottom half); t's masks are kept after its degree, the type
+        # of its entries and one full planarity scan are checked
         k = getattr(t, "_halves", None)
         if k is None:
-            _check_planar(t.n, t.partners)
-            k = t._halves = _masks(t.n, t.partners)
+            n, p = t.n, t.partners
+            _check_degree(n)
+            if type(p) is not tuple or any(type(r) is not int for r in p):
+                raise NotAMatching(f"partners of degree {n} are not a tuple "
+                                   "of ints")
+            _check_planar(n, p)
+            k = t._halves = _masks(n, p)
         return self[k >> self.n], self[k & (1 << self.n) - 1]
 
     def pairing(self, b: _Half, t: int) -> tuple[int, bytes, bytes]:

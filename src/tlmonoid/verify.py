@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from math import comb
 
 from .algebra import twist_relations
@@ -64,13 +63,14 @@ def _offset_matchings(length: int, memo: dict) -> list[tuple[int, ...]]:
     return memo[length]
 
 
-@lru_cache(maxsize=None, typed=True)   # typed: enumerate_TL(True) is refused
 def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     """All tangles of degree n, deterministically ordered.
 
     The degree passes `_check_degree(n, most=12)`: 208012 diagrams at 12.
     The diagrams are non-crossing by construction and are not passed
-    through `_check_planar`; the tests check every one up to n = 8.
+    through `_check_planar`; the tests check every one up to n = 8.  Each
+    call builds a new tuple and nothing is cached, so the basis lives as
+    long as the caller keeps it.
     """
     _check_degree(n, most=_MAX_ENUM_DEGREE)
     memo = {0: [()]}

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from tlmonoid import enumerate_TL
-from tlmonoid.cli import render_tangle
+from tlmonoid import rewrite
+from tlmonoid.cli import main, render_tangle
 
 ALPHA = "n=9; blocks=(1,-3)(2,7)(3,4)(5,6)(8,-6)(9,-9)(-8,-7)(-5,-4)(-2,-1)"
 BETA = "n=9; blocks=(1,2)(3,4)(5,6)(7,-7)(8,9)(-2,-1)(-5,-4)(-6,-3)(-9,-8)"
@@ -83,6 +84,19 @@ def test_cert_write_and_check(tmp_path):
     code, out, err = run_cli("check-cert", str(cert), "--n", "5", "R2 L2")
     assert code == 3
     assert "rejected" in err
+
+
+def test_a_push_past_its_budget_exits_three_and_writes_no_file(
+        monkeypatch, tmp_path, capsys):
+    # W_12 at n = 25, whose push takes 4095 RL steps, one past the budget
+    monkeypatch.setattr(rewrite, "MAX_PUSH_STEPS", 2 ** 12 - 2)
+    cert = tmp_path / "w12.cert"
+    w12 = " ".join(f"R{i}" for i in range(1, 24, 2)) + " L1"
+    assert main(["nf", "--n", "25", w12, "--cert", str(cert)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a push took more than 4094 RL steps\n"
+    assert not cert.exists()
 
 
 def test_xi_cert_for_hook_words(tmp_path):

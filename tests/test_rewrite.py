@@ -6,6 +6,7 @@ import pytest
 from tlmonoid import (
     AlphabetError,
     BadStep,
+    BudgetExceeded,
     DegreeError,
     DegreeTooSmall,
     Derivation,
@@ -15,6 +16,7 @@ from tlmonoid import (
     Step,
     Word,
     boundary_tuples,
+    certify,
     check_derivation,
     derivation_from_text,
     derivation_to_text,
@@ -31,6 +33,7 @@ from tlmonoid import (
     word_from_text,
     word_to_text,
 )
+from tlmonoid import rewrite
 from tlmonoid.relations import replay
 from tlmonoid.rewrite import _lrlr_lambda, _lrlr_rho
 
@@ -174,6 +177,18 @@ def test_push_through_alternate_odd_rho_letters(k):
     check_derivation(d)
     _, nf_d = normal_form(W(n, rho + " L1"))
     check_derivation(nf_d)
+
+
+def test_a_push_past_its_step_budget_is_refused(monkeypatch):
+    # W_12's push takes 2^12 - 1 = 4095 RL steps: a budget of exactly that
+    # many admits it, one less refuses it in normal_form and in certify
+    w = W(25, " ".join(f"R{i}" for i in range(1, 24, 2)) + " L1")
+    monkeypatch.setattr(rewrite, "MAX_PUSH_STEPS", 2 ** 12 - 1)
+    check_derivation(normal_form(w)[1])
+    monkeypatch.setattr(rewrite, "MAX_PUSH_STEPS", 2 ** 12 - 2)
+    for entry in (normal_form, certify):
+        with pytest.raises(BudgetExceeded, match="more than 4094 RL steps"):
+            entry(w)
 
 
 def test_push_through_more_rho_letters_than_the_recursion_limit():

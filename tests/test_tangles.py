@@ -40,6 +40,7 @@ from tlmonoid import (
 )
 
 from tlmonoid import tangles
+from tlmonoid.tuples import _check_degree as check_degree
 
 from oracles import (all_matchings, as_blockset, naive_bl_br, naive_compose,
                      naive_noncrossing, pos)
@@ -310,6 +311,49 @@ def test_compose_refuses_every_array_but_a_planar_matching(monkeypatch):
         for a, b in ((Tangle(n, p), identity(n)), (identity(n), Tangle(n, p))):
             with pytest.raises(NotAMatching):
                 compose(a, b)
+
+
+def test_a_hand_built_tangle_is_checked_where_it_meets_the_table(
+        monkeypatch):
+    # a degree the degree rule refuses, or partners that are not a tuple of
+    # ints, are refused by compose and by alg_mul before any table entry is
+    # made, against fresh tables and against warm ones, where True finds
+    # the table of degree 1; the products after them answer, and only ints
+    # key the tables.  Each tangle is checked once, not once per product.
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    bad = [(DegreeError, Tangle(True, (0, 2, 1))),
+           (DegreeError, Tangle(1.0, (0, 2, 1))),
+           (DegreeError, Tangle(0, (0,))),
+           (NotAMatching, Tangle(1, (0, "2", 1))),
+           (NotAMatching, Tangle(1, (0, 2.0, 1))),
+           (NotAMatching, Tangle(1, [0, 2, 1])),
+           (NotAMatching, Tangle(2, (0, 2, True, 4, 3)))]
+    for _ in ("fresh", "warm"):
+        for want, t in bad:
+            with pytest.raises(want):
+                compose(t, t)
+            if isinstance(t.partners, tuple) and t.n in (1, 2):
+                x = AlgebraElement(int(t.n), {t: 1})
+                with pytest.raises(want):
+                    alg_mul(x, x, 2)
+            assert not hasattr(t, "_halves")
+        for n in (1, 2):
+            assert compose(identity(n), identity(n)) == (identity(n), 0)
+        assert all(type(k) is int for k in tangles._TABLES)
+
+    calls = []
+
+    def counted(n, *rest):
+        calls.append(n)
+        return check_degree(n, *rest)
+
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    monkeypatch.setattr(tangles, "_check_degree", counted)
+    a, b = Tangle(3, (0, 6, 5, 4, 3, 2, 1)), Tangle(3, (0, 2, 1, 4, 3, 6, 5))
+    x, y = AlgebraElement(3, {a: 1, b: 2}), AlgebraElement(3, {b: 3})
+    for _ in range(5):
+        compose(a, b), compose(b, a), compose(b, b), alg_mul(x, y, 2)
+    assert calls == [3, 3, 3]          # the table, then a and b
 
 
 def test_compose_degree_mismatch():

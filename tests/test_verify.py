@@ -30,11 +30,18 @@ def test_counts_match_catalan():
 
 
 def test_counts_match_catalan_at_the_largest_degrees():
-    # the uncached enumeration, so the 208012 diagrams of degree 12 are not
-    # kept alive for the rest of the session
     want = {11: 58786, 12: 208012}
     for n, c in want.items():
-        assert len(enumerate_TL.__wrapped__(n)) == c == catalan(n)
+        assert len(enumerate_TL(n)) == c == catalan(n)
+
+
+def test_each_enumeration_is_built_afresh():
+    # nothing keeps a basis alive for the process: equal, never the same
+    for n in (1, 5, 9):
+        first, second = enumerate_TL(n), enumerate_TL(n)
+        assert first == second
+        assert first is not second
+        assert all(s is not t for s, t in zip(first, second))
 
 
 def test_enumeration_bounds():
@@ -44,7 +51,7 @@ def test_enumeration_bounds():
         enumerate_TL(0)
     enumerate_TL(1)
     with pytest.raises(DegreeError):
-        enumerate_TL(True)  # not the cached enumerate_TL(1)
+        enumerate_TL(True)
 
 
 def test_enumeration_matches_brute_force():
