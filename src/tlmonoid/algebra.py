@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import AlphabetError, DegreeMismatch
+from .errors import AlphabetError, DegreeMismatch, NotAMatching
 from .relations import relation_set
 from .tangles import (Tangle, _table, identity, tangle_from_text,
                       tangle_to_text)
@@ -53,7 +53,8 @@ class AlgebraElement:
     """An exact linear combination of degree-n tangles.
 
     Zero coefficients are never stored; equality is coefficientwise.  A bad
-    degree raises DegreeError, a term of another degree DegreeMismatch.
+    degree raises DegreeError, a term that is not a `Tangle` NotAMatching,
+    one of another degree DegreeMismatch.
     """
 
     __slots__ = ("n", "terms")
@@ -64,6 +65,8 @@ class AlgebraElement:
         clean: dict[Tangle, Fraction] = {}
         if terms:
             for t, c in (terms.items() if isinstance(terms, dict) else terms):
+                if not isinstance(t, Tangle):
+                    raise NotAMatching(f"term {t!r} is not a Tangle")
                 if t.n != n:
                     raise DegreeMismatch(
                         f"term of degree {t.n} in an element of degree {n}")

@@ -19,15 +19,13 @@ were discarded; that count is the exponent used by the twisted algebra
 product.  `dagger` is the top-bottom reflection, which makes TL_n a regular
 *-monoid; on positions it is q -> 2n + 1 - q.
 
-A `Tangle` is never built from unchecked data: `make_tangle`,
-`words.evaluate` and the product table (`_Table`), which builds each product
-diagram once and shares it, scan all 2n points.
+The tangle rule is stated once, in `Tangle.__init__`, which every writer
+but `verify.enumerate_TL` (`_unchecked`) goes through.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .errors import CrossingError, DegreeMismatch, NotAMatching
 from .tuples import (TnTuple, _canonical_int, _check_degree, _integer,
@@ -56,8 +54,9 @@ class Tangle:
     `partners` is a tuple of 2n+1 ints indexed by boundary position
     (index 0 holds 0): entry q is the position of q's partner.  A matching
     has exactly one such array, so equality, hashing, repr and pickling use
-    the array alone.  A Tangle is never built from unchecked data;
-    `make_tangle` validates.
+    the array alone.  The constructor, which unpickling calls too, is the
+    tangle rule: the degree rule (DegreeError), NotAMatching unless
+    `partners` is a tuple of ints, then `_check_planar`.
 
     Private slots: `_hash`, None until the tangle is first hashed, and
     `_halves`, the masks of its two rows as one int (`_masks`; 28 bytes at
@@ -68,9 +67,12 @@ class Tangle:
     __slots__ = ("n", "partners", "_hash", "_halves")
 
     def __init__(self, n: int, partners: tuple[int, ...]):
-        self.n = n
-        self.partners = partners
-        self._hash = None
+        _check_degree(n)
+        if type(partners) is not tuple or {*map(type, partners)} - {int}:
+            raise NotAMatching(f"partners of degree {n} are not a tuple "
+                               "of ints")
+        _check_planar(n, partners)
+        self.n, self.partners, self._hash = n, partners, None
 
     def __eq__(self, other):
         if not isinstance(other, Tangle):
@@ -94,6 +96,14 @@ class Tangle:
         """Canonical blocks: each pair, and the pairs, ordered by position."""
         n, p = self.n, self.partners
         return tuple(_block(n, p, q) for q, r in enumerate(p) if r > q)
+
+
+def _unchecked(n: int, partners: tuple[int, ...]) -> Tangle:
+    # `Tangle` without its check, for `verify.enumerate_TL`'s arrays, which
+    # are planar by construction
+    t = object.__new__(Tangle)
+    t.n, t.partners, t._hash = n, partners, None
+    return t
 
 
 def _block(n, p, q):
@@ -147,14 +157,14 @@ def _check_planar(n: int, p: tuple[int, ...]) -> None:
 
 
 def make_tangle(n: int, blocks) -> Tangle:
-    """Validating constructor.
+    """The tangle of two-point blocks of signed points.
 
     Raises DegreeError unless n is a positive int (a bool is refused),
-    ValueError (naming it) for a point that is not an integer, NotAMatching
-    unless every point of {+-1, ..., +-n} occurs in exactly one two-point
-    block, and CrossingError (naming the two offending blocks) if any
-    blocks interleave.  Blocks of size other than two are rejected: this
-    monoid has no wider blocks.
+    ValueError (naming it) for a point that is not an integer, and
+    NotAMatching unless every point of {+-1, ..., +-n} occurs in exactly
+    one two-point block: this monoid has no wider blocks.  `Tangle` then
+    raises CrossingError, naming the two offending blocks, if any blocks
+    interleave.
     """
     _check_degree(n)
     seen = set()
@@ -176,14 +186,11 @@ def make_tangle(n: int, blocks) -> Tangle:
     p = [0] * (2 * n + 1)
     for q, r in pairs:
         p[q], p[r] = r, q
-    p = tuple(p)
-    _check_planar(n, p)
-    return Tangle(n, p)
+    return Tangle(n, tuple(p))
 
 
-@lru_cache(maxsize=None, typed=True)   # typed: identity(True) is refused
 def identity(n: int) -> Tangle:
-    """The unit of TL_n: n vertical strings."""
+    """The unit of TL_n: n vertical strings; a new one per call."""
     _check_degree(n)
     return Tangle(n, (0, *range(2 * n, 0, -1)))
 
@@ -192,11 +199,8 @@ def compose(a: Tangle, b: Tangle) -> tuple[Tangle, int]:
     """Stack `a` on top of `b`; return the resulting tangle and loop count.
 
     Both are read from the degree's product table (`_Table`), whose
-    entries are computed and checked the first time a product needs them.
-    A hand-built factor is checked once, when it first meets the table: a
-    degree the degree rule refuses raises DegreeError, partners that are
-    not a tuple of ints NotAMatching, and an array that is not a planar
-    matching NotAMatching or CrossingError (`_check_planar`).
+    entries are computed the first time a product needs them.  Every
+    factor is a checked `Tangle`, so only the degrees are compared here.
     """
     if a.n != b.n:
         raise DegreeMismatch(f"degrees {a.n} and {b.n} differ")
@@ -218,7 +222,6 @@ _TABLES: dict[int, _Table] = {}     # degree -> its product table
 
 def _table(n: int) -> _Table:
     if n not in _TABLES:
-        _check_degree(n)                # so only an int keys a table
         _TABLES[n] = _Table(n)
     return _TABLES[n]
 
@@ -231,8 +234,8 @@ class _Table(dict):
     half.  The table maps each mask met to its `_Half`, at most C(n, n // 2)
     of them, each with at most as many pairings, whose distinct triples are
     shared (`entries`).  `products` maps top mask << n | bottom mask to the
-    diagram's one `Tangle`, built by `_join` and fully scanned when first
-    asked for: at most Catalan(n).  An entry is stored after its check.
+    diagram's one `Tangle`, built by `_join` and checked by `Tangle` when
+    first asked for: at most Catalan(n).  An entry is stored after its check.
     """
 
     __slots__ = ("n", "entries", "products")
@@ -245,17 +248,10 @@ class _Table(dict):
         return half
 
     def halves_of(self, t: Tangle) -> tuple[_Half, _Half]:
-        # (top, bottom half); t's masks are kept after its degree, the type
-        # of its entries and one full planarity scan are checked
+        # (top, bottom half); t's masks are kept on first use
         k = getattr(t, "_halves", None)
         if k is None:
-            n, p = t.n, t.partners
-            _check_degree(n)
-            if type(p) is not tuple or any(type(r) is not int for r in p):
-                raise NotAMatching(f"partners of degree {n} are not a tuple "
-                                   "of ints")
-            _check_planar(n, p)
-            k = t._halves = _masks(n, p)
+            k = t._halves = _masks(t.n, t.partners)
         return self[k >> self.n], self[k & (1 << self.n) - 1]
 
     def pairing(self, b: _Half, t: int) -> tuple[int, bytes, bytes]:
@@ -272,7 +268,6 @@ class _Table(dict):
         if t is None:
             n = self.n
             p = _join(n, self[k >> n], self[k & (1 << n) - 1])
-            _check_planar(n, p)
             t = self.products[k] = Tangle(n, p)
             t._halves = k
         return t

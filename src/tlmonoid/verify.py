@@ -20,7 +20,8 @@ from math import comb
 from .algebra import twist_relations
 from .errors import TLError
 from .relations import apply_step, relation_index, relation_set, Step
-from .tangles import Tangle, boundary_tuples, compose, factorize, identity
+from .tangles import (Tangle, _unchecked, boundary_tuples, compose,
+                      factorize, identity)
 from .tuples import _check_degree, enumerate_tuples
 from .words import (Word, balanced_word, build_tangle, evaluate, hat,
                     hooks_to_pairs, letter)
@@ -67,16 +68,16 @@ def enumerate_TL(n: int) -> tuple[Tangle, ...]:
     """All tangles of degree n, deterministically ordered.
 
     The degree passes `_check_degree(n, most=12)`: 208012 diagrams at 12.
-    The diagrams are non-crossing by construction and are not passed
-    through `_check_planar`; the tests check every one up to n = 8.  Each
-    call builds a new tuple and nothing is cached, so the basis lives as
-    long as the caller keeps it.
+    The one writer to skip `Tangle`'s check (`_unchecked`): the diagrams
+    are planar by construction, and checking each would more than double
+    a call's time.  The tests check every one up to n = 8.  Each call
+    builds a new tuple, and nothing is cached.
     """
     _check_degree(n, most=_MAX_ENUM_DEGREE)
     memo = {0: [()]}
     # the top level is streamed rather than stored in `memo`; position q's
     # partner is q plus its offset
-    return tuple(Tangle(n, (0, *[q + d for q, d in enumerate(m, 1)]))
+    return tuple(_unchecked(n, (0, *[q + d for q, d in enumerate(m, 1)]))
                  for t in range(1, 2 * n, 2)
                  for inner in _offset_matchings(t - 1, memo)
                  for tail in _offset_matchings(2 * n - t - 1, memo)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlphabetError, DegreeMismatch, LengthMismatch
-from .tangles import Tangle, _check_planar, identity
+from .tangles import Tangle
 from .tuples import TnTuple, _canonical_int, _check_degree, _integer
 
 __all__ = [
@@ -98,6 +98,8 @@ class Word:
     def __post_init__(self):
         _check_degree(self.n)
         for l in self.letters:
+            if type(l) is not Letter:
+                raise AlphabetError(f"word entry {l!r} is not a letter")
             if not 1 <= l.index <= self.n - 1:
                 raise ValueError(
                     f"letter {l} has index outside [1, {self.n - 1}]")
@@ -160,11 +162,11 @@ def _action(n: int, l: Letter) -> tuple[int, ...]:
 def evaluate(w: Word) -> tuple[Tangle, int]:
     """Product of the generator diagrams of `w` and the total loop count.
 
-    Each letter acts on one partner array (`_action`); its upper arc closes
-    a loop when it meets a lower arc.  Planarity is checked once, at the end.
+    Letters act on one partner array, the identity's at first (`_action`);
+    an upper arc meeting a lower one closes a loop.  `Tangle` checks the end.
     """
     n = w.n
-    p = list(identity(n).partners)
+    p = [0, *range(2 * n, 0, -1)]
     loops = 0
     for l in w.letters:
         u, v, lo, hi, d, s, t = _action(n, l)
@@ -178,9 +180,7 @@ def evaluate(w: Word) -> tuple[Tangle, int]:
                 q += d
             p[x], p[q] = q, x
         p[s], p[t] = t, s
-    p = tuple(p)
-    _check_planar(n, p)
-    return Tangle(n, p), loops
+    return Tangle(n, tuple(p)), loops
 
 
 def generator(n: int, kind: str, i: int) -> Tangle:

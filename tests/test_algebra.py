@@ -8,8 +8,10 @@ from tlmonoid import (
     AlgebraElement,
     AlphabetError,
     CrossingError,
+    DegreeError,
     DegreeMismatch,
     DegreeTooSmall,
+    NotAMatching,
     Tangle,
     add,
     alg_eval_word,
@@ -58,6 +60,19 @@ def test_add_cancels():
 def test_add_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         add(hook(5, 1), hook(6, 1))
+
+
+def test_elements_refuse_a_term_that_is_not_a_tangle():
+    for bad in ("x", (0, 2, 1), 1, None):
+        with pytest.raises(NotAMatching, match="is not a Tangle"):
+            AlgebraElement(1, {bad: 1})
+        with pytest.raises(NotAMatching):
+            AlgebraElement(1, [(identity(1), 1), (bad, 0)])
+    # the bad tangles these terms would need cannot be made
+    with pytest.raises(NotAMatching):
+        AlgebraElement(1, {Tangle(1, [0, 2, 1]): 1})
+    with pytest.raises(DegreeError):
+        AlgebraElement(1, [(Tangle(1.0, (0, 2, 1)), 1)])
 
 
 def test_elements_refuse_terms_of_another_degree():

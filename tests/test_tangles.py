@@ -40,7 +40,6 @@ from tlmonoid import (
 )
 
 from tlmonoid import tangles
-from tlmonoid.tuples import _check_degree as check_degree
 
 from oracles import (all_matchings, as_blockset, naive_bl_br, naive_compose,
                      naive_noncrossing, pos)
@@ -220,7 +219,10 @@ def test_identity_blocks():
         identity(0)
     identity(1)
     with pytest.raises(DegreeError):
-        identity(True)      # not the cached identity(1)
+        identity(True)
+    with pytest.raises(DegreeTooLarge):
+        identity(10 ** 8)   # before any array is built
+    assert identity(4) == identity(4) and identity(4) is not identity(4)
 
 
 def test_identity_is_neutral():
@@ -255,29 +257,37 @@ def test_lambda_rho_products_make_hooks():
 
 
 def test_compose_checks_planarity_of_every_product(monkeypatch):
-    # a crossing partner array smuggled past make_tangle: +1 ~ -2, +2 ~ -1,
-    # refused as either factor, by compose and by alg_mul, against fresh
-    # and warm tables; its halves are never kept, so it is refused again
+    # a crossing partner array, +1 ~ -2 and +2 ~ -1, is refused when it is
+    # made; a product table whose `_join` builds it for every product is
+    # refused the same way by compose and by alg_mul, again on a second
+    # try, since a refused product is not stored
+    with pytest.raises(CrossingError) as exc:
+        Tangle(2, (0, 3, 4, 1, 2))
+    assert (exc.value.block_a, exc.value.block_b) == ((1, -2), (2, -1))
+
     def mul(a, b):
         return alg_mul(AlgebraElement(2, {a: 1}), AlgebraElement(2, {b: 1}), 2)
 
-    crossed = Tangle(2, (0, 3, 4, 1, 2))
-    for tables in ({}, tangles._TABLES):
-        monkeypatch.setattr(tangles, "_TABLES", tables)
-        for a, b in ((crossed, identity(2)), (identity(2), crossed)):
+    monkeypatch.setattr(tangles, "_TABLES", {})
+    monkeypatch.setattr(tangles, "_join", lambda n, top, bottom:
+                        (0, 3, 4, 1, 2))
+    e1 = generator(2, "e", 1)
+    for _ in range(2):
+        for a, b in ((e1, identity(2)), (identity(2), e1)):
             for product in (compose, mul):
                 with pytest.raises(CrossingError) as exc:
                     product(a, b)
                 assert (exc.value.block_a, exc.value.block_b) == \
                     ((1, -2), (2, -1))
-    assert not hasattr(crossed, "_halves")
+    assert not tangles._TABLES[2].products
 
 
-def test_compose_refuses_every_array_but_a_planar_matching(monkeypatch):
-    # every array (0, *e) with e in {1..2n}^2n, n <= 3, as either factor of
-    # a lambda against fresh tables: the 8 planar matchings compose as the
-    # oracle says, the 11 crossing ones raise CrossingError and the 46897
-    # others NotAMatching, and no refused array keeps halves
+def test_the_constructor_refuses_every_array_but_a_planar_matching(
+        monkeypatch):
+    # every array (0, *e) with e in {1..2n}^2n, n <= 3, built once as either
+    # factor of a lambda against fresh tables: the 8 planar matchings
+    # compose as the oracle says, the 11 crossing ones raise CrossingError
+    # and the 46897 others NotAMatching, each time they are built
     monkeypatch.setattr(tangles, "_TABLES", {})
     outcomes = collections.Counter()
     for n in range(1, 4):
@@ -293,67 +303,85 @@ def test_compose_refuses_every_array_but_a_planar_matching(monkeypatch):
                 want = CrossingError
             else:
                 want = "planar"
-            t = Tangle(n, p)
-            for a, b in ((t, other), (other, t)):
+            for first in (True, False):
                 if want == "planar":
+                    t = Tangle(n, p)
+                    a, b = (t, other) if first else (other, t)
                     got, m = compose(a, b)
                     assert (as_blockset(got), m) == \
                         naive_compose(n, a.blocks, b.blocks)
                 else:
                     with pytest.raises(want):
-                        compose(a, b)
-                    assert not hasattr(t, "_halves")
+                        Tangle(n, p)
                 outcomes[want] += 1
     assert outcomes == {"planar": 16, CrossingError: 22, NotAMatching: 93794}
     # of the wrong length, not 0 first, or with an entry outside 1..2n
     for n, p in ((2, (0, 2, 1)), (1, (0, 2, 1, 0)), (1, (1, 0, 2)),
                  (1, (0, 0, 2)), (1, (0, 3, 1)), (1, (0, -1, 1))):
-        for a, b in ((Tangle(n, p), identity(n)), (identity(n), Tangle(n, p))):
-            with pytest.raises(NotAMatching):
-                compose(a, b)
+        with pytest.raises(NotAMatching):
+            Tangle(n, p)
 
 
-def test_a_hand_built_tangle_is_checked_where_it_meets_the_table(
-        monkeypatch):
+def test_a_hand_built_tangle_is_checked_when_it_is_made(monkeypatch):
     # a degree the degree rule refuses, or partners that are not a tuple of
-    # ints, are refused by compose and by alg_mul before any table entry is
-    # made, against fresh tables and against warm ones, where True finds
-    # the table of degree 1; the products after them answer, and only ints
-    # key the tables.  Each tangle is checked once, not once per product.
+    # ints, are refused by the constructor, and so never reach compose,
+    # alg_mul or a product table: only ints key the tables.  Each tangle is
+    # scanned once, when it is made, and each product diagram once, when
+    # the table first builds it, not once per product.
     monkeypatch.setattr(tangles, "_TABLES", {})
-    bad = [(DegreeError, Tangle(True, (0, 2, 1))),
-           (DegreeError, Tangle(1.0, (0, 2, 1))),
-           (DegreeError, Tangle(0, (0,))),
-           (NotAMatching, Tangle(1, (0, "2", 1))),
-           (NotAMatching, Tangle(1, (0, 2.0, 1))),
-           (NotAMatching, Tangle(1, [0, 2, 1])),
-           (NotAMatching, Tangle(2, (0, 2, True, 4, 3)))]
-    for _ in ("fresh", "warm"):
-        for want, t in bad:
-            with pytest.raises(want):
-                compose(t, t)
-            if isinstance(t.partners, tuple) and t.n in (1, 2):
-                x = AlgebraElement(int(t.n), {t: 1})
-                with pytest.raises(want):
-                    alg_mul(x, x, 2)
-            assert not hasattr(t, "_halves")
-        for n in (1, 2):
-            assert compose(identity(n), identity(n)) == (identity(n), 0)
-        assert all(type(k) is int for k in tangles._TABLES)
+    bad = [(DegreeError, (True, (0, 2, 1))),
+           (DegreeError, (1.0, (0, 2, 1))),
+           (DegreeError, (0, (0,))),
+           (NotAMatching, (1, (0, "2", 1))),
+           (NotAMatching, (1, (0, 2.0, 1))),
+           (NotAMatching, (1, [0, 2, 1])),
+           (NotAMatching, (2, (0, 2, True, 4, 3)))]
+    for want, args in bad:
+        with pytest.raises(want):
+            Tangle(*args)
+    for n in (1, 2):
+        assert compose(identity(n), identity(n)) == (identity(n), 0)
+    assert all(type(k) is int for k in tangles._TABLES)
 
     calls = []
 
-    def counted(n, *rest):
+    def counted(n, p):
         calls.append(n)
-        return check_degree(n, *rest)
+        return check_planar(n, p)
 
+    check_planar = tangles._check_planar
     monkeypatch.setattr(tangles, "_TABLES", {})
-    monkeypatch.setattr(tangles, "_check_degree", counted)
+    monkeypatch.setattr(tangles, "_check_planar", counted)
     a, b = Tangle(3, (0, 6, 5, 4, 3, 2, 1)), Tangle(3, (0, 2, 1, 4, 3, 6, 5))
     x, y = AlgebraElement(3, {a: 1, b: 2}), AlgebraElement(3, {b: 3})
     for _ in range(5):
         compose(a, b), compose(b, a), compose(b, b), alg_mul(x, y, 2)
-    assert calls == [3, 3, 3]          # the table, then a and b
+    assert calls == [3, 3, 3]          # a, b, then the one product b
+
+
+class _Forged:
+    # pickles as the payload it is given, whatever it holds
+    def __init__(self, *args):
+        self.args = args
+
+    def __reduce__(self):
+        return Tangle, self.args
+
+
+def test_a_pickle_is_checked_when_it_is_loaded():
+    for want, args in ((CrossingError, (2, (0, 3, 4, 1, 2))),
+                       (NotAMatching, (2, (0, 2, 1, 4, 1))),
+                       (NotAMatching, (1, [0, 2, 1])),
+                       (DegreeError, (True, (0, 2, 1)))):
+        data = pickle.dumps(_Forged(*args))
+        with pytest.raises(want):
+            pickle.loads(data)
+    for t in (identity(1), generator(4, "lambda", 2),
+              make_tangle(9, ALPHA_BLOCKS),
+              evaluate(word_from_text(6, "R2 E4 L1"))[0]):
+        assert t.__reduce__() == (Tangle, (t.n, t.partners))   # checked
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and back.n == t.n and factorize(back) == factorize(t)
 
 
 def test_compose_degree_mismatch():

@@ -74,7 +74,7 @@ def test_enumeration_keeps_the_order_of_the_segment_recursion():
 
 
 def test_enumeration_is_canonical_and_deterministic():
-    # enumerate_TL builds partner arrays without the planarity check
+    # enumerate_TL builds partner arrays unchecked; make_tangle checks each
     for n in range(1, 9):
         ts = enumerate_TL(n)
         assert len(set(ts)) == len(ts)

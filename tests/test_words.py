@@ -113,6 +113,14 @@ def test_concat_refuses_words_of_another_degree():
         W(5, "L1").concat(W(6, "L1"))
 
 
+@pytest.mark.parametrize("letters, entry", [
+    (("L1",), "'L1'"), ((L(1), 2), "2"), (("E", 1), "'E'")],
+    ids=["text", "int", "pair"])
+def test_word_refuses_an_entry_that_is_not_a_letter(letters, entry):
+    with pytest.raises(AlphabetError, match=f"word entry {entry} is not a"):
+        Word(5, letters)
+
+
 def test_hat_preserves_evaluation():
     rng = random.Random(6)
     for _ in range(80):
